@@ -3,8 +3,9 @@
 # the four invocations below.
 #
 # Usage:
-#   scripts/check.sh [build_dir]           # full build + ctest + bench smoke
-#                                          # (bench JSON into build_dir/bench_smoke/)
+#   scripts/check.sh [build_dir]           # full build + ctest + perfbench
+#                                          # compile + bench smoke (bench
+#                                          # JSON into build_dir/bench_smoke/)
 #   scripts/check.sh --tsan [build_dir]    # ThreadSanitizer build of the
 #                                          # serving concurrency suites
 #   scripts/check.sh --asan [build_dir]    # AddressSanitizer build of the
@@ -134,6 +135,15 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+# The benchmark (perfbench/, declared in BENCHMARK.json) compiles
+# against the library's public API. Compile it here, without running
+# it, so an API change that breaks it fails CI instead of the
+# benchmark run.
+echo "== perfbench (compile only) =="
+cmake -B "$BUILD_DIR/perfbench" -S "$REPO_ROOT/perfbench" \
+  -DCMAKE_BUILD_TYPE=Release "${CMAKE_LAUNCHER_ARGS[@]}"
+cmake --build "$BUILD_DIR/perfbench" -j "$(nproc)" --target perfbench
 
 # Bench smoke set: a ~10ms-per-case pass over the serving benches, with
 # machine-readable output kept in $BUILD_DIR/bench_smoke/ (the CI check

@@ -146,6 +146,27 @@ int64_t SessionGateCache::EntryBytes(const Entry& entry) const {
          static_cast<int64_t>(entry.row.capacity() * sizeof(float));
 }
 
+std::span<const float> ProbeSessionRows(const SessionRowKind& kind,
+                                        const Batch& probes,
+                                        std::span<const SessionRowKey> keys,
+                                        Ranker* model,
+                                        InferenceWorkspace* workspace) {
+  AWMOE_CHECK(static_cast<int64_t>(keys.size()) == probes.size)
+      << keys.size() << " keys for " << probes.size << " session-row probes";
+  const std::span<float> rows =
+      workspace->Staging(kind.probe_slot, probes.size * kind.width);
+  (model->*kind.probe)(probes, workspace, rows);
+  if (kind.capacity > 0) {
+    for (size_t r = 0; r < keys.size(); ++r) {
+      const float* row = rows.data() + static_cast<int64_t>(r) * kind.width;
+      kind.cache->Put(keys[r].first, keys[r].second,
+                      std::vector<float>(row, row + kind.width),
+                      kind.capacity);
+    }
+  }
+  return rows;
+}
+
 // ---------------------------------------------------------------------
 // SessionScoreCache.
 // ---------------------------------------------------------------------
@@ -572,7 +593,10 @@ int64_t ModelPool::WarmSessionGates(
       arm == RolloutArm::kCandidate ? CandidateSnapshot(resolved)
                                     : CurrentSnapshot(resolved);
   if (snapshot == nullptr || !snapshot->gate_shareable()) return 0;
-  const int64_t width = snapshot->gate_width();
+  const SessionRowKind kind{&snapshot->gate_cache(), gate_cache_capacity,
+                            snapshot->gate_width(),
+                            InferenceWorkspace::kGateProbe,
+                            InferenceWorkspace::kGateRows, &Ranker::GateInto};
 
   // Score through lane 0's workspace. Warm-up typically runs before the
   // snapshot takes traffic, but racing live forwards is safe AND
@@ -584,34 +608,23 @@ int64_t ModelPool::WarmSessionGates(
 
   int64_t warmed = 0;
   std::vector<const Example*> probes;
-  std::vector<int64_t> probe_sessions;
+  std::vector<SessionRowKey> keys;
   auto flush = [&] {
     if (probes.empty()) return;
     Batch batch = CollateBatch(probes, meta_, standardizer_);
     std::lock_guard<std::mutex> lock(lane.mu);
-    InferenceWorkspace* workspace = lane.EnsureWorkspace(kWarmChunk);
-    std::span<float> rows = workspace->Staging(
-        InferenceWorkspace::kGateProbe, batch.size * width);
-    lane.model->GateInto(batch, workspace, rows);
-    // Cache inserts stay under the lane lock: `rows` aliases workspace
-    // staging, which the next forward on this lane may overwrite.
-    for (int64_t i = 0; i < batch.size; ++i) {
-      const float* row = rows.data() + i * width;
-      snapshot->gate_cache().Put(
-          probe_sessions[static_cast<size_t>(i)],
-          GateContextHash(*probes[static_cast<size_t>(i)]),
-          std::vector<float>(row, row + width), gate_cache_capacity);
-      ++warmed;
-    }
+    ProbeSessionRows(kind, batch, keys, lane.model,
+                     lane.EnsureWorkspace(kWarmChunk));
+    warmed += batch.size;
     probes.clear();
-    probe_sessions.clear();
+    keys.clear();
   };
   for (const std::vector<const Example*>& session : sessions) {
     if (session.empty()) continue;
     // One probe per session, from its first item — the engine's own
     // probe convention, so lookups validate against the same context.
     probes.push_back(session[0]);
-    probe_sessions.push_back(session[0]->session_id);
+    keys.emplace_back(session[0]->session_id, GateContextHash(*session[0]));
     if (static_cast<int64_t>(probes.size()) >= kWarmChunk) flush();
   }
   flush();
@@ -650,17 +663,22 @@ Ranker* ModelPool::Find(const std::string& name) const {
   return it == entries_.end() ? nullptr : it->second.stable->primary();
 }
 
-std::string ModelPool::ResolveName(const std::string& name) const {
+std::optional<std::string> ModelPool::LookupName(
+    const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (name.empty()) {
-    // Copied under the lock: SetDefault may re-point the default route
-    // concurrently, so a reference would read a string being replaced.
-    AWMOE_CHECK(!default_name_.empty()) << "empty ModelPool";
-    return default_name_;
-  }
-  auto it = entries_.find(name);
-  AWMOE_CHECK(it != entries_.end()) << "unknown model '" << name << "'";
+  // Copied under the lock: SetDefault may re-point the default route
+  // concurrently, so a reference would read a string being replaced.
+  // An empty pool has no default, and no entry is named "".
+  auto it = entries_.find(name.empty() ? default_name_ : name);
+  if (it == entries_.end()) return std::nullopt;
   return it->first;
+}
+
+std::string ModelPool::ResolveName(const std::string& name) const {
+  std::optional<std::string> resolved = LookupName(name);
+  AWMOE_CHECK(resolved.has_value())
+      << (name.empty() ? "empty ModelPool" : "unknown model '" + name + "'");
+  return *std::move(resolved);
 }
 
 std::string ModelPool::default_model() const {

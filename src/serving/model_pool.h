@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -14,11 +15,11 @@
 #include <vector>
 
 #include "data/example.h"
+#include "nn/inference.h"
 #include "serving/request.h"
 
 namespace awmoe {
 
-class InferenceWorkspace;
 class Ranker;
 class Standardizer;
 
@@ -52,9 +53,10 @@ uint64_t CandidateScoreHash(const Example& ex);
 /// Outcome of a session-cache lookup, for per-level hit/miss/
 /// invalidation counters: kStale means the entry existed but its
 /// validity stamp no longer matched (history moved on) and was evicted.
+/// The values are RequestSample's lookup encoding (serving_stats.h).
 enum class CacheLookup {
-  kHit = 0,
-  kMiss = 1,
+  kMiss = 0,
+  kHit = 1,
   kStale = 2,
 };
 
@@ -100,6 +102,34 @@ class SessionGateCache {
   std::unordered_map<int64_t, std::list<Entry>::iterator> index_;
   int64_t bytes_ = 0;
 };
+
+/// Cache key of one per-session row: (session id, GateContextHash).
+using SessionRowKey = std::pair<int64_t, uint64_t>;
+
+/// One kind of cached per-session row: §III-F gate rows or level-2
+/// session encodings. The serving engine runs one session-row stage per
+/// kind; the pool's gate warm-up probes through ProbeSessionRows too.
+struct SessionRowKind {
+  SessionGateCache* cache = nullptr;
+  int64_t capacity = 0;  // <= 0: no cross-request reuse (no lookups/puts).
+  int64_t width = 0;     // Floats per row.
+  InferenceWorkspace::StagingSlot probe_slot = InferenceWorkspace::kGateProbe;
+  InferenceWorkspace::StagingSlot rows_slot = InferenceWorkspace::kGateRows;
+  /// Ranker::GateInto or Ranker::EncodeSessionInto.
+  void (Ranker::*probe)(const Batch&, InferenceWorkspace*,
+                        std::span<float>) = nullptr;
+};
+
+/// Writes one row per `probes` row into the kind's probe staging slot
+/// of `workspace` and caches row r under `keys[r]`, in key order. The
+/// caller holds the lane lock of `model` across the call and while it
+/// reads the returned rows: they alias workspace staging, which the
+/// lane's next forward overwrites, so the puts stay under the lock too.
+std::span<const float> ProbeSessionRows(const SessionRowKind& kind,
+                                        const Batch& probes,
+                                        std::span<const SessionRowKey> keys,
+                                        Ranker* model,
+                                        InferenceWorkspace* workspace);
 
 /// Level-1 result cache: full per-candidate scores of exact repeat
 /// requests, keyed by (session_id, order-insensitive candidate-set
@@ -463,9 +493,14 @@ class ModelPool {
   /// as Find().
   Ranker* Resolve(const std::string& name) const;
 
-  /// The pool name `Resolve(name)` routes to. Returned by value: the
+  /// The pool name `name` routes to (empty name -> default model), or
+  /// nullopt for an unknown name or an empty pool; the serving fronts
+  /// turn that into a per-request kNotFound. Returned by value: the
   /// default route can be re-pointed at runtime, so a reference into
   /// pool state could be overwritten mid-read.
+  std::optional<std::string> LookupName(const std::string& name) const;
+
+  /// LookupName for operator calls: CHECK-fails on an unknown name.
   std::string ResolveName(const std::string& name) const;
 
   /// The current STABLE snapshot published under `resolved_name`.

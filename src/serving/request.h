@@ -46,17 +46,16 @@ struct RankRequest {
 
 /// Scores for one request, aligned with `RankRequest::items`.
 struct RankResponse {
-  /// OK when `scores` is valid. The async `Submit` front resolves
-  /// futures with a non-OK status instead of scores when a request is
-  /// rejected (queue full -> kResourceExhausted, empty candidate list
-  /// or a slate longer than a slate-scoring model's max slate length ->
-  /// kInvalidArgument) or abandoned (engine stopped without drain ->
-  /// kUnavailable). The synchronous path returns non-OK only for the
-  /// oversized-slate rejection (`scores` stays empty); its other client
-  /// errors CHECK-fail as before.
+  /// OK when `scores` is valid; otherwise `scores` stays empty. Both
+  /// serving fronts reject client input at admission with the same
+  /// status: unknown model -> kNotFound, empty candidate list or a
+  /// slate longer than a slate-scoring model's max slate length ->
+  /// kInvalidArgument. The async `Submit` front also rejects on a full
+  /// queue (kResourceExhausted) and abandons requests when the engine
+  /// stops without drain (kUnavailable).
   Status status;
   int64_t session_id = 0;
-  /// Resolved model name (never empty).
+  /// Resolved model name; the requested name when it did not resolve.
   std::string model;
   /// Version of the model snapshot that scored this request (1 = as
   /// registered; incremented by each `ModelPool::UpdateModel`). All

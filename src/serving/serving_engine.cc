@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <map>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -99,430 +99,429 @@ RolloutArm ServingEngine::RouteArm(const std::string& resolved,
   return router_.Route(resolved, request.session_id);
 }
 
+namespace {
+
+// Client-input admission, the one check behind RankBatch, Submit and
+// the pinned-snapshot backstop: bad input becomes a per-request status
+// and never reaches a forward whose CHECKs would abort the process.
+// `snapshot` is null when the model name did not resolve.
+Status AdmitRequest(const RankRequest& request,
+                    const ModelSnapshot* snapshot) {
+  if (snapshot == nullptr) {
+    return Status::NotFound("unknown model '" + request.model + "'");
+  }
+  if (request.items.empty()) {
+    return Status::InvalidArgument("empty candidate list for session " +
+                                   std::to_string(request.session_id));
+  }
+  const int64_t max_slate = snapshot->max_slate_items();
+  if (max_slate > 0 &&
+      static_cast<int64_t>(request.items.size()) > max_slate) {
+    return Status::InvalidArgument(
+        "slate of " + std::to_string(request.items.size()) +
+        " candidates exceeds model '" + snapshot->name() +
+        "' max slate length " + std::to_string(max_slate));
+  }
+  return Status::OK();
+}
+
+// The response fields admission settles: status, session, model and
+// version. It is the whole response of a rejected request; `replica`
+// stays -1 unless a lane serves the request.
+RankResponse AdmissionResponse(const RankRequest& request, Status status,
+                              const ModelSnapshot* snapshot) {
+  RankResponse response;
+  response.status = std::move(status);
+  response.session_id = request.session_id;
+  response.model = snapshot == nullptr ? request.model : snapshot->name();
+  response.model_version = snapshot == nullptr ? 0 : snapshot->version();
+  response.replica = -1;
+  return response;
+}
+
+std::future<RankResponse> ReadyFuture(RankResponse response) {
+  std::promise<RankResponse> promise;
+  promise.set_value(std::move(response));
+  return promise.get_future();
+}
+
+// One request of a micro-batch, by micro position.
+struct MicroRequest {
+  const RankRequest* request = nullptr;
+  size_t index = 0;  // Into the caller's requests and responses.
+  Status admission;  // Non-OK: rejected at the pinned-snapshot backstop.
+  int score_lookup = -1;  // -1 or a CacheLookup value.
+  // GateContextHash of the first item: the stamp of both session-row
+  // caches (the encoding reads a subset of the gate's inputs).
+  uint64_t context_hash = 0;
+  uint64_t history_hash = 0;
+  uint64_t set_hash = 0;
+  std::vector<uint64_t> item_hashes;
+  std::vector<float> hit_scores;
+};
+
+// Where one miss request's row of a session-row kind comes from.
+struct RowSource {
+  int lookup = 0;          // A CacheLookup value: RequestSample encoding.
+  int64_t probe_row = -1;  // Row of this micro-batch's probe; -1: `cached`.
+  std::vector<float> cached;
+};
+
+// One session-row kind over the miss requests of a micro-batch.
+struct SessionRows {
+  const SessionRowKind* kind = nullptr;  // Null: the kind is off.
+  std::vector<RowSource> source;         // By miss position.
+  std::vector<const Example*> probes;    // One per distinct key, key order.
+  std::vector<SessionRowKey> keys;       // keys[r] is the key of probes[r].
+};
+
+// The requests of a micro-batch that need a forward, by miss position
+// k: admitted, and not served from the level-1 score cache.
+struct MissBatch {
+  std::vector<MicroRequest*> micro;
+  std::vector<int64_t> first_row;  // First logits row, i.e. slate start.
+  std::vector<float> scores;       // By logits row.
+  SessionRows gate;
+  SessionRows encoding;
+};
+
+// Admit stage: the backstop against the PINNED snapshot. RankBatch and
+// Submit admitted every request against the snapshot current at their
+// admission time; a hot swap to a model with a smaller slate cap
+// between then and this pin still lands here.
+std::vector<MicroRequest> AdmitMicroBatch(
+    const std::vector<size_t>& request_indices,
+    const std::vector<RankRequest>& requests, const ModelSnapshot& snapshot) {
+  std::vector<MicroRequest> batch(request_indices.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].index = request_indices[i];
+    batch[i].request = &requests[batch[i].index];
+    batch[i].admission = AdmitRequest(*batch[i].request, &snapshot);
+  }
+  return batch;
+}
+
+// Level-1 stage: an exact repeat request (same session, same candidate
+// set, unchanged behaviour history) takes its scores straight from the
+// snapshot's cache. Per-element CandidateScoreHash verification inside
+// Lookup makes a set-hash collision a miss, never a wrong score.
+void LookupScores(SessionScoreCache& cache, std::span<MicroRequest> batch) {
+  for (MicroRequest& entry : batch) {
+    if (!entry.admission.ok()) continue;
+    const RankRequest& request = *entry.request;
+    entry.history_hash = SessionHistoryHash(*request.items[0]);
+    entry.item_hashes.reserve(request.items.size());
+    for (const Example* item : request.items) {
+      entry.item_hashes.push_back(CandidateScoreHash(*item));
+      entry.set_hash = SetHashAdd(entry.set_hash, entry.item_hashes.back());
+    }
+    entry.hit_scores.resize(request.items.size());
+    entry.score_lookup = static_cast<int>(
+        cache.Lookup(request.session_id, entry.set_hash, entry.history_hash,
+                     entry.item_hashes, entry.hit_scores));
+  }
+}
+
+// Gathers the requests that need a forward and lays out their rows:
+// each request's candidates are one contiguous block, in miss order.
+// `stamp`: a session-row kind is on and needs the context hashes.
+MissBatch CollectMisses(std::span<MicroRequest> batch, bool stamp) {
+  MissBatch misses;
+  misses.micro.reserve(batch.size());
+  for (MicroRequest& entry : batch) {
+    if (entry.admission.ok() && entry.score_lookup != 1) {
+      misses.micro.push_back(&entry);
+    }
+  }
+  misses.first_row.reserve(misses.micro.size());
+  size_t rows = 0;
+  for (MicroRequest* entry : misses.micro) {
+    misses.first_row.push_back(static_cast<int64_t>(rows));
+    rows += entry->request->items.size();
+    if (stamp) entry->context_hash = GateContextHash(*entry->request->items[0]);
+  }
+  misses.scores.resize(rows);
+  return misses;
+}
+
+// Session-row stage, part 1, outside the lane lock: §III-F behind the
+// API, one row per session. A miss request's row comes from the kind's
+// cache when its session was served before, otherwise from one probe
+// row per distinct (session id, context hash). The key, not the session
+// id alone, dedups: two same-session requests with *different* contexts
+// in one micro-batch each get their own probe, mirroring the staleness
+// check the cross-request cache does.
+SessionRows PlanSessionRows(const SessionRowKind& kind,
+                            const MissBatch& misses) {
+  SessionRows rows;
+  rows.kind = &kind;
+  rows.source.resize(misses.micro.size());
+  std::vector<std::pair<SessionRowKey, size_t>> pending;  // (key, k).
+  for (size_t k = 0; k < misses.micro.size(); ++k) {
+    const SessionRowKey key{misses.micro[k]->request->session_id,
+                            misses.micro[k]->context_hash};
+    RowSource& source = rows.source[k];
+    if (kind.capacity > 0) {
+      const CacheLookup outcome =
+          kind.cache->Lookup(key.first, key.second, &source.cached);
+      source.lookup = static_cast<int>(outcome);
+      if (outcome == CacheLookup::kHit) continue;
+    }
+    pending.emplace_back(key, k);
+  }
+  // Sorted by (key, k): each key's probe is its first request, and the
+  // cache puts run in key order.
+  std::sort(pending.begin(), pending.end());
+  for (size_t p = 0; p < pending.size(); ++p) {
+    const auto& [key, k] = pending[p];
+    if (p == 0 || key != pending[p - 1].first) {
+      rows.keys.push_back(key);
+      rows.probes.push_back(misses.micro[k]->request->items[0]);
+    }
+    rows.source[k].probe_row = static_cast<int64_t>(rows.keys.size()) - 1;
+  }
+  return rows;
+}
+
+// Session-row stage, part 2, under the lane lock: probes and caches the
+// planned rows, then replicates each miss request's row across its
+// candidates into the kind's rows staging slot.
+const float* StageSessionRows(const MissBatch& misses,
+                              const SessionRows& rows, Ranker* model,
+                              InferenceWorkspace* workspace,
+                              const ModelPool& pool) {
+  const SessionRowKind& kind = *rows.kind;
+  std::span<const float> fresh;
+  if (!rows.probes.empty()) {
+    const Batch probes =
+        CollateBatch(rows.probes, pool.meta(), pool.standardizer());
+    fresh = ProbeSessionRows(kind, probes, rows.keys, model, workspace);
+  }
+  const std::span<float> staged = workspace->Staging(
+      kind.rows_slot, static_cast<int64_t>(misses.scores.size()) * kind.width);
+  float* dst = staged.data();
+  for (size_t k = 0; k < misses.micro.size(); ++k) {
+    const RowSource& source = rows.source[k];
+    const float* row = source.probe_row < 0
+                           ? source.cached.data()
+                           : fresh.data() + source.probe_row * kind.width;
+    for (size_t j = 0; j < misses.micro[k]->request->items.size(); ++j) {
+      dst = std::copy(row, row + kind.width, dst);
+    }
+  }
+  return staged.data();
+}
+
+// Collate + forward stage. One lane critical section covers both
+// session-row kinds' probes and the main forward, which all touch this
+// replica's model state and workspace; other replicas of the snapshot
+// run their own micro-batches concurrently. Workspaces are sized to the
+// engine's batching caps, so a lane serves every later micro-batch
+// without regrowing. Leaves post-sigmoid scores in `misses->scores`.
+void ForwardMisses(MissBatch* misses, const ServingEngineOptions& options,
+                   const ModelPool& pool, const ModelSnapshot& snapshot,
+                   ReplicaLane& lane, ServingStats* stats) {
+  std::vector<const Example*> items;
+  items.reserve(misses->scores.size());
+  for (const MicroRequest* entry : misses->micro) {
+    items.insert(items.end(), entry->request->items.begin(),
+                 entry->request->items.end());
+  }
+  const Batch batch = CollateBatch(items, pool.meta(), pool.standardizer());
+  const std::span<float> logits(misses->scores);
+  double rerank_ms = 0.0;  // Slate-stage latency (slate models only).
+  {
+    std::lock_guard<std::mutex> lock(lane.mu);
+    // Started AFTER the lock is held: the rerank reservoir samples the
+    // lane critical section as documented, so lock-wait behind a
+    // contended replica shows up in request latency, not in the
+    // rerank-stage percentiles.
+    const Stopwatch rerank_watch;
+    InferenceWorkspace* workspace = lane.EnsureWorkspace(std::max(
+        {options.max_batch_items, options.max_batch_candidates, batch.size}));
+    auto stage = [&](const SessionRows& rows) {
+      return StageSessionRows(*misses, rows, lane.model, workspace, pool);
+    };
+    // A kind that is off passes null: the forward then takes the
+    // respective fused path (the generic ScoreWithSessionInto contract).
+    SessionGate gate;
+    SessionEncoding encoding;
+    if (misses->gate.kind != nullptr) {
+      gate = {stage(misses->gate), batch.size, misses->gate.kind->width};
+    }
+    if (misses->encoding.kind != nullptr) {
+      encoding = {stage(misses->encoding), batch.size,
+                  misses->encoding.kind->width};
+    }
+    if (snapshot.slate_scoring()) {
+      // first_row IS the slate-starts vector: one slate per request,
+      // whole and in request order, so every candidate attends over
+      // exactly its own slate regardless of batch composition.
+      lane.model->ScoreSlateInto(batch, misses->first_row, workspace, logits);
+    } else {
+      lane.model->ScoreWithSessionInto(
+          batch, misses->gate.kind != nullptr ? &gate : nullptr,
+          misses->encoding.kind != nullptr ? &encoding : nullptr, workspace,
+          logits);
+    }
+    rerank_ms = rerank_watch.ElapsedMillis();
+  }
+  if (snapshot.slate_scoring()) {
+    std::vector<int64_t> slate_sizes(misses->micro.size());
+    for (size_t k = 0; k < slate_sizes.size(); ++k) {
+      slate_sizes[k] =
+          static_cast<int64_t>(misses->micro[k]->request->items.size());
+    }
+    stats->RecordSlateBatch(slate_sizes, rerank_ms);
+  }
+  // Per-element arithmetic matches the tier's sigmoid, so on the
+  // reference tier this is still StableSigmoid element for element.
+  SigmoidSpanInto(logits, logits);
+}
+
+// Cache-fill stage: freshly computed scores feed the level-1 cache,
+// outside the lane lock (the cache has its own mutex and the floats are
+// engine-owned). Stored post-sigmoid, exactly the floats a later hit
+// serves, so a hit is bitwise-equal to recompute by construction.
+void FillScoreCache(SessionScoreCache& cache, const MissBatch& misses,
+                    int64_t capacity) {
+  for (size_t k = 0; k < misses.micro.size(); ++k) {
+    const MicroRequest& entry = *misses.micro[k];
+    const float* first = misses.scores.data() + misses.first_row[k];
+    cache.Put(entry.request->session_id, entry.set_hash, entry.history_hash,
+              entry.item_hashes,
+              std::vector<float>(first, first + entry.request->items.size()),
+              capacity);
+  }
+}
+
+// Miss k's lookup outcome for one session-row kind; -1 when it is off.
+int LookupOf(const SessionRows& rows, size_t k) {
+  return rows.kind == nullptr ? -1 : rows.source[k].lookup;
+}
+
+// Respond stage: fills every response of the micro-batch and returns
+// the samples of the served requests. A rejected request is a client
+// error, not a serve, so it adds no sample.
+std::vector<RequestSample> Respond(std::span<const MicroRequest> batch,
+                                   const MissBatch& misses,
+                                   const ModelSnapshot& snapshot,
+                                   RolloutArm granted, int replica,
+                                   const std::vector<double>* queue_delays_ms,
+                                   double service_ms,
+                                   std::vector<RankResponse>* responses) {
+  std::vector<RequestSample> samples;
+  samples.reserve(batch.size());
+  size_t k = 0;  // Miss position of the next request that needed a forward.
+  for (const MicroRequest& entry : batch) {
+    const RankRequest& request = *entry.request;
+    RankResponse& response = (*responses)[entry.index];
+    const double queue_ms =
+        queue_delays_ms == nullptr ? 0.0 : (*queue_delays_ms)[entry.index];
+    const bool hit = entry.score_lookup == 1;
+    response = AdmissionResponse(request, entry.admission, &snapshot);
+    response.arm = granted;
+    response.latency_ms = service_ms + queue_ms;
+    response.queue_ms = queue_ms;
+    if (!entry.admission.ok()) continue;
+    response.replica = hit ? -1 : replica;
+    response.score_cache_hit = hit;
+    RequestSample& sample = samples.emplace_back();
+    sample.items = static_cast<int64_t>(request.items.size());
+    sample.latency_ms = response.latency_ms;
+    if (queue_delays_ms != nullptr) sample.queue_ms = queue_ms;
+    sample.score_lookup = entry.score_lookup;
+    if (hit) {
+      response.scores.assign(entry.hit_scores.begin(), entry.hit_scores.end());
+      continue;
+    }
+    // A stale gate row is recorded as a plain gate miss; a stale
+    // encoding is an encoding invalidation.
+    const int gate_lookup = LookupOf(misses.gate, k);
+    sample.gate_lookup = gate_lookup == 2 ? 0 : gate_lookup;
+    sample.encoding_lookup = LookupOf(misses.encoding, k);
+    response.gate_shared = misses.gate.kind != nullptr;
+    response.gate_cache_hit = sample.gate_lookup == 1;
+    response.encoding_cache_hit = sample.encoding_lookup == 1;
+    const float* first = misses.scores.data() + misses.first_row[k++];
+    response.scores.assign(first, first + request.items.size());
+  }
+  return samples;
+}
+
+}  // namespace
+
 void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
                                       const std::vector<RankRequest>& requests,
                                       const std::vector<double>* queue_delays_ms,
                                       const Stopwatch& service_watch,
                                       std::vector<RankResponse>* responses) {
-  const DatasetMeta& meta = pool_->meta();
-  const size_t n = micro.request_indices.size();
-
   // Pin the snapshot FIRST, without a lane: the version cannot change
   // under us (hot swaps publish a NEW snapshot), and a micro-batch
-  // fully served from the level-1 score cache below never leases a
-  // replica lane at all. The arm picks between the stable and staged-
-  // candidate snapshots; a candidate dropped since routing falls back
-  // to stable (`granted` reports what was actually served).
+  // fully served from the level-1 score cache never leases a replica
+  // lane at all. The arm picks between the stable and staged-candidate
+  // snapshots; a candidate dropped since routing falls back to stable
+  // (`granted` reports what was actually served).
   RolloutArm granted = micro.arm;
   std::shared_ptr<const ModelSnapshot> snapshot_ptr =
       pool_->SnapshotForArm(micro.model, micro.arm, &granted);
   const ModelSnapshot& snapshot = *snapshot_ptr;
+  std::vector<MicroRequest> batch =
+      AdmitMicroBatch(micro.request_indices, requests, snapshot);
 
-  // --- Level 1: session score cache. An exact repeat request (same
-  // session, same candidate set, unchanged behaviour history) takes its
-  // scores straight from the snapshot's cache; only the rest is
-  // collated and scored. Per-element CandidateScoreHash verification
-  // inside Lookup makes a set-hash collision a miss, never a wrong
-  // score.
-  // A slate-scoring model ranks each request's rows JOINTLY, so its
-  // level-1 cache entries would be wrong to reuse: a cached score was
-  // computed against one particular slate, and serving it to a repeat
-  // request would freeze the candidate's context. Bypass the cache
-  // entirely (no lookups, no puts) and score every request fresh.
+  // A slate-scoring model ranks each request's rows JOINTLY: a cached
+  // score was computed against one particular slate, and serving it to
+  // a repeat request would freeze the candidate's context. Slate models
+  // bypass the score cache entirely (no lookups, no puts), and take
+  // neither gate nor encoding rows (ScoreSlateInto has no such inputs).
   const bool slate = snapshot.slate_scoring();
   const bool score_cache_on = options_.score_cache_capacity > 0 && !slate;
-
-  // Slate-length admission backstop against the PINNED snapshot.
-  // RankBatch and Submit already rejected oversized requests against
-  // the snapshot current at admission time; a hot swap to a model with
-  // a smaller cap between admission and this lease still lands here.
-  // An oversized slate must never reach ScoreSlateInto, whose slate-
-  // length CHECK treats it as a programmer error and aborts — data-
-  // dependent input resolves as a per-request kInvalidArgument instead.
-  const int64_t max_slate = snapshot.max_slate_items();
-  std::vector<bool> rejected(n, false);
-  if (slate && max_slate > 0) {
-    for (size_t i = 0; i < n; ++i) {
-      rejected[i] = static_cast<int64_t>(
-                        requests[micro.request_indices[i]].items.size()) >
-                    max_slate;
-    }
-  }
-  std::vector<int> score_lookup(n, -1);  // RequestSample encoding.
-  std::vector<uint64_t> history_hash(n, 0);
-  std::vector<uint64_t> set_hash(n, 0);
-  std::vector<std::vector<uint64_t>> item_hashes(n);
-  std::vector<std::vector<float>> hit_scores(n);
-  if (score_cache_on) {
-    SessionScoreCache& cache = snapshot.score_cache();
-    for (size_t i = 0; i < n; ++i) {
-      const RankRequest& request = requests[micro.request_indices[i]];
-      history_hash[i] = SessionHistoryHash(*request.items[0]);
-      std::vector<uint64_t>& hashes = item_hashes[i];
-      hashes.reserve(request.items.size());
-      uint64_t set = 0;
-      for (const Example* item : request.items) {
-        const uint64_t h = CandidateScoreHash(*item);
-        hashes.push_back(h);
-        set = SetHashAdd(set, h);
-      }
-      set_hash[i] = set;
-      hit_scores[i].resize(request.items.size());
-      const CacheLookup outcome =
-          cache.Lookup(request.session_id, set, history_hash[i], hashes,
-                       hit_scores[i]);
-      score_lookup[i] = outcome == CacheLookup::kHit    ? 1
-                        : outcome == CacheLookup::kStale ? 2
-                                                         : 0;
-    }
-  }
-  std::vector<size_t> miss;  // Positions in [0, n) that need compute.
-  miss.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (score_lookup[i] != 1 && !rejected[i]) miss.push_back(i);
-  }
-
-  // Gate/encoding sharing is a pointwise-path optimisation; a slate
-  // forward goes through ScoreSlateInto, which takes neither.
   const bool shared =
       options_.share_gate && snapshot.gate_shareable() && !slate;
   const bool encode = options_.share_session_encoding &&
                       snapshot.encoding_shareable() && !slate;
-  std::vector<bool> cache_hit(n, false);       // Gate-cache outcome.
-  std::vector<int> encoding_lookup(n, -1);     // RequestSample encoding.
-  // Logits of the MISS portion land here straight from the model — the
-  // whole forward is allocation-free against the lane's workspace; only
-  // this engine-side collation layer still allocates (batch, response
-  // buffers). logits_row[k] is miss request k's first row.
-  std::vector<float> logits;
-  std::vector<int64_t> logits_row(miss.size(), 0);
-  SnapshotLease lease;
-  int64_t miss_items = 0;
+  const SessionRowKind gate_kind{
+      &snapshot.gate_cache(), options_.gate_cache_capacity,
+      snapshot.gate_width(), InferenceWorkspace::kGateProbe,
+      InferenceWorkspace::kGateRows, &Ranker::GateInto};
+  const SessionRowKind encoding_kind{
+      &snapshot.encoding_cache(), options_.encoding_cache_capacity,
+      snapshot.encoding_width(), InferenceWorkspace::kSessionProbe,
+      InferenceWorkspace::kSessionRows, &Ranker::EncodeSessionInto};
 
-  if (!miss.empty()) {
+  if (score_cache_on) LookupScores(snapshot.score_cache(), batch);
+  MissBatch misses = CollectMisses(batch, shared || encode);
+  SnapshotLease lease;
+  if (!misses.micro.empty()) {
     // Real compute remains: NOW lease a replica lane.
     lease = pool_->LeaseLane(snapshot_ptr, granted);
-    ReplicaLane& lane = lease.lane();
-    const size_t m = miss.size();
-
-    std::vector<const Example*> items;
-    items.reserve(static_cast<size_t>(micro.total_items));
-    for (size_t k = 0; k < m; ++k) {
-      const RankRequest& request = requests[micro.request_indices[miss[k]]];
-      logits_row[k] = static_cast<int64_t>(items.size());
-      items.insert(items.end(), request.items.begin(), request.items.end());
-    }
-    miss_items = static_cast<int64_t>(items.size());
-    Batch batch = CollateBatch(items, meta, pool_->standardizer());
-    logits.resize(static_cast<size_t>(batch.size));
-    const std::span<float> logits_span(logits);
-    // Workspaces are sized to the engine's batching caps once, so a
-    // lane serves every later micro-batch (sync or async) without
-    // regrowing.
-    const int64_t workspace_candidates =
-        std::max({options_.max_batch_items, options_.max_batch_candidates,
-                  batch.size});
-
-    // One context hash per miss request: the validity stamp shared by
-    // the gate cache AND the level-2 session feature store (the
-    // encoding reads a subset of the gate's inputs).
-    std::vector<uint64_t> request_hash(m, 0);
-    if (shared || encode) {
-      for (size_t k = 0; k < m; ++k) {
-        const RankRequest& request = requests[micro.request_indices[miss[k]]];
-        request_hash[k] = GateContextHash(*request.items[0]);
-      }
-    }
-
-    // §III-F behind the API: one gate row per session. Rows come from
-    // the snapshot's LRU when the session was served before, otherwise
-    // from a single fused probe pass (one row per missed session).
-    // Probe dedup key is (session id, context hash), not session id
-    // alone: two same-session requests with *different* gate inputs in
-    // one micro-batch must each get their own probe, mirroring the
-    // staleness check the cross-request cache does.
-    const int64_t gate_width = snapshot.gate_width();
-    std::vector<std::vector<float>> session_gates(m);
-    std::map<std::pair<int64_t, uint64_t>, size_t> gate_probe_slot;
-    std::vector<const Example*> gate_probes;
-    if (shared) {
-      SessionGateCache& cache = snapshot.gate_cache();
-      for (size_t k = 0; k < m; ++k) {
-        const RankRequest& request = requests[micro.request_indices[miss[k]]];
-        if (options_.gate_cache_capacity > 0 &&
-            cache.Lookup(request.session_id, request_hash[k],
-                         &session_gates[k]) == CacheLookup::kHit) {
-          cache_hit[miss[k]] = true;
-          continue;
-        }
-        auto [slot, inserted] = gate_probe_slot.try_emplace(
-            {request.session_id, request_hash[k]}, gate_probes.size());
-        if (inserted) gate_probes.push_back(request.items[0]);
-      }
-    }
-
-    // Level 2, same probe-dedup-replicate shape as the gate: one
-    // candidate-independent encoding row per session, cached across
-    // requests under the context stamp.
-    const int64_t enc_width = snapshot.encoding_width();
-    std::vector<std::vector<float>> session_encodings(m);
-    std::map<std::pair<int64_t, uint64_t>, size_t> enc_probe_slot;
-    std::vector<const Example*> enc_probes;
-    if (encode) {
-      SessionGateCache& cache = snapshot.encoding_cache();
-      for (size_t k = 0; k < m; ++k) {
-        const RankRequest& request = requests[micro.request_indices[miss[k]]];
-        if (options_.encoding_cache_capacity > 0) {
-          const CacheLookup outcome = cache.Lookup(
-              request.session_id, request_hash[k], &session_encodings[k]);
-          encoding_lookup[miss[k]] = outcome == CacheLookup::kHit    ? 1
-                                     : outcome == CacheLookup::kStale ? 2
-                                                                      : 0;
-          if (outcome == CacheLookup::kHit) continue;
-        } else {
-          encoding_lookup[miss[k]] = 0;  // Cross-request reuse disabled.
-        }
-        auto [slot, inserted] = enc_probe_slot.try_emplace(
-            {request.session_id, request_hash[k]}, enc_probes.size());
-        if (inserted) enc_probes.push_back(request.items[0]);
-      }
-    }
-
-    double rerank_ms = 0.0;  // Slate-stage latency (slate models only).
-    {
-      // One lane critical section for probes + main forward: all touch
-      // this replica's model state and workspace. Other replicas of the
-      // same snapshot run their own micro-batches concurrently.
-      std::lock_guard<std::mutex> lock(lane.mu);
-      // Started AFTER the lock is held: the rerank reservoir samples
-      // the lane critical section as documented, so lock-wait behind a
-      // contended replica shows up in request latency, not in the
-      // rerank-stage percentiles.
-      const Stopwatch rerank_watch;
-      InferenceWorkspace* workspace =
-          lane.EnsureWorkspace(workspace_candidates);
-      if (!gate_probes.empty()) {
-        Batch probe_batch =
-            CollateBatch(gate_probes, meta, pool_->standardizer());
-        std::span<float> fresh = workspace->Staging(
-            InferenceWorkspace::kGateProbe, probe_batch.size * gate_width);
-        lane.model->GateInto(probe_batch, workspace, fresh);
-        for (size_t k = 0; k < m; ++k) {
-          if (cache_hit[miss[k]] || !session_gates[k].empty()) continue;
-          const RankRequest& request =
-              requests[micro.request_indices[miss[k]]];
-          const size_t row =
-              gate_probe_slot.at({request.session_id, request_hash[k]});
-          const float* src = fresh.data() + row * gate_width;
-          session_gates[k].assign(src, src + gate_width);
-        }
-        if (options_.gate_cache_capacity > 0) {
-          for (const auto& [key, row] : gate_probe_slot) {
-            const float* src = fresh.data() + row * gate_width;
-            snapshot.gate_cache().Put(key.first, key.second,
-                                      std::vector<float>(src, src + gate_width),
-                                      options_.gate_cache_capacity);
-          }
-        }
-      }
-      if (!enc_probes.empty()) {
-        Batch probe_batch =
-            CollateBatch(enc_probes, meta, pool_->standardizer());
-        std::span<float> fresh = workspace->Staging(
-            InferenceWorkspace::kSessionProbe, probe_batch.size * enc_width);
-        lane.model->EncodeSessionInto(probe_batch, workspace, fresh);
-        for (size_t k = 0; k < m; ++k) {
-          if (!session_encodings[k].empty()) continue;
-          const RankRequest& request =
-              requests[micro.request_indices[miss[k]]];
-          const size_t row =
-              enc_probe_slot.at({request.session_id, request_hash[k]});
-          const float* src = fresh.data() + row * enc_width;
-          session_encodings[k].assign(src, src + enc_width);
-        }
-        if (options_.encoding_cache_capacity > 0) {
-          for (const auto& [key, row] : enc_probe_slot) {
-            const float* src = fresh.data() + row * enc_width;
-            snapshot.encoding_cache().Put(
-                key.first, key.second,
-                std::vector<float>(src, src + enc_width),
-                options_.encoding_cache_capacity);
-          }
-        }
-      }
-      // Replicate each session's gate/encoding row across its
-      // candidates into the workspace's persistent staging buffers,
-      // then run the candidate-dependent forward with both supplied —
-      // the generic ScoreWithSessionInto contract (a null gate or
-      // encoding degrades to the respective fused path).
-      SessionGate gate;
-      if (shared) {
-        std::span<float> gate_rows = workspace->Staging(
-            InferenceWorkspace::kGateRows, batch.size * gate_width);
-        float* dst = gate_rows.data();
-        for (size_t k = 0; k < m; ++k) {
-          const RankRequest& request =
-              requests[micro.request_indices[miss[k]]];
-          for (size_t j = 0; j < request.items.size();
-               ++j, dst += gate_width) {
-            std::copy(session_gates[k].begin(), session_gates[k].end(), dst);
-          }
-        }
-        gate = SessionGate{gate_rows.data(), batch.size, gate_width};
-      }
-      SessionEncoding encoding;
-      if (encode) {
-        std::span<float> enc_rows = workspace->Staging(
-            InferenceWorkspace::kSessionRows, batch.size * enc_width);
-        float* dst = enc_rows.data();
-        for (size_t k = 0; k < m; ++k) {
-          const RankRequest& request =
-              requests[micro.request_indices[miss[k]]];
-          for (size_t j = 0; j < request.items.size();
-               ++j, dst += enc_width) {
-            std::copy(session_encodings[k].begin(), session_encodings[k].end(),
-                      dst);
-          }
-        }
-        encoding = SessionEncoding{enc_rows.data(), batch.size, enc_width};
-      }
-      if (slate) {
-        // Collation inserted each request's items as one contiguous
-        // block, so logits_row IS the slate-starts vector: one slate
-        // per request, whole and in request order. The request is the
-        // atomicity unit — a micro-batch may carry many requests, but
-        // no request's rows are ever split across forwards or
-        // interleaved with another's, so every candidate attends over
-        // exactly its own slate regardless of batch composition.
-        lane.model->ScoreSlateInto(batch, logits_row, workspace,
-                                   logits_span);
-      } else {
-        lane.model->ScoreWithSessionInto(batch, shared ? &gate : nullptr,
-                                         encode ? &encoding : nullptr,
-                                         workspace, logits_span);
-      }
-      rerank_ms = rerank_watch.ElapsedMillis();
-    }
-    if (slate) {
-      // Slate-occupancy histogram + rerank-stage latency (the lane
-      // critical section above), one stats lock for the micro-batch.
-      std::vector<int64_t> slate_sizes(m);
-      for (size_t k = 0; k < m; ++k) {
-        slate_sizes[k] = static_cast<int64_t>(
-            requests[micro.request_indices[miss[k]]].items.size());
-      }
-      stats_.RecordSlateBatch(slate_sizes, rerank_ms);
-    }
-
-    // One vectorised pass over the miss logits (in place; per-element
-    // arithmetic matches the tier's sigmoid, so on the reference tier
-    // this is still StableSigmoid element for element).
-    SigmoidSpanInto(logits_span, logits_span);
-
-    // Freshly computed scores feed the level-1 cache (outside the lane
-    // lock: the cache has its own mutex and the floats are engine-
-    // owned). Stored post-sigmoid, exactly the floats a later hit
-    // serves — bitwise-equal to recompute by construction.
+    if (shared) misses.gate = PlanSessionRows(gate_kind, misses);
+    if (encode) misses.encoding = PlanSessionRows(encoding_kind, misses);
+    ForwardMisses(&misses, options_, *pool_, snapshot, lease.lane(),
+                  &stats_);
     if (score_cache_on) {
-      SessionScoreCache& cache = snapshot.score_cache();
-      for (size_t k = 0; k < m; ++k) {
-        const size_t i = miss[k];
-        const RankRequest& request = requests[micro.request_indices[i]];
-        const float* first = logits.data() + logits_row[k];
-        cache.Put(request.session_id, set_hash[i], history_hash[i],
-                  item_hashes[i],
-                  std::vector<float>(first, first + request.items.size()),
-                  options_.score_cache_capacity);
-      }
+      FillScoreCache(snapshot.score_cache(), misses,
+                     options_.score_cache_capacity);
     }
   }
 
-  const double service_ms = service_watch.ElapsedMillis();
-  std::vector<RequestSample> samples;
-  samples.reserve(n);
-  std::vector<int64_t> next_row(miss.size());
-  for (size_t k = 0; k < miss.size(); ++k) next_row[k] = logits_row[k];
-  size_t miss_cursor = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const size_t idx = micro.request_indices[i];
-    const RankRequest& request = requests[idx];
-    RankResponse& response = (*responses)[idx];
-    const double queue_ms =
-        queue_delays_ms == nullptr ? 0.0 : (*queue_delays_ms)[idx];
-    if (rejected[i]) {
-      // Client error, not a serve: no scores, no request sample (the
-      // latency/occupancy metrics count served traffic only).
-      response.status = Status::InvalidArgument(
-          "Rank: slate of " + std::to_string(request.items.size()) +
-          " candidates exceeds model '" + snapshot.name() +
-          "' max slate length " + std::to_string(max_slate));
-      response.session_id = request.session_id;
-      response.model = snapshot.name();
-      response.model_version = snapshot.version();
-      response.arm = granted;
-      response.replica = -1;
-      response.latency_ms = service_ms + queue_ms;
-      response.queue_ms = queue_ms;
-      continue;
-    }
-    const bool served_from_cache = score_lookup[i] == 1;
-    response.session_id = request.session_id;
-    response.model = snapshot.name();
-    response.model_version = snapshot.version();
-    response.arm = granted;
-    response.replica = served_from_cache ? -1 : lease.replica();
-    response.latency_ms = service_ms + queue_ms;
-    response.queue_ms = queue_ms;
-    response.score_cache_hit = served_from_cache;
-    response.scores.resize(request.items.size());
-    if (served_from_cache) {
-      response.gate_shared = false;
-      response.gate_cache_hit = false;
-      response.encoding_cache_hit = false;
-      for (size_t j = 0; j < request.items.size(); ++j) {
-        response.scores[j] = hit_scores[i][j];
-      }
-    } else {
-      response.gate_shared = shared;
-      response.gate_cache_hit = cache_hit[i];
-      response.encoding_cache_hit = encoding_lookup[i] == 1;
-      int64_t row = next_row[miss_cursor];
-      ++miss_cursor;
-      for (size_t j = 0; j < request.items.size(); ++j, ++row) {
-        response.scores[j] = logits[static_cast<size_t>(row)];
-      }
-    }
-    RequestSample& sample = samples.emplace_back();
-    sample.items = static_cast<int64_t>(request.items.size());
-    sample.latency_ms = response.latency_ms;
-    if (queue_delays_ms != nullptr) sample.queue_ms = queue_ms;
-    if (!served_from_cache && shared) {
-      sample.gate_lookup = cache_hit[i] ? 1 : 0;
-    }
-    sample.score_lookup = score_lookup[i];
-    sample.encoding_lookup = encoding_lookup[i];
-  }
-  // Every request rejected at the slate backstop: nothing was served,
-  // so there is no micro-batch to account.
+  const std::vector<RequestSample> samples =
+      Respond(batch, misses, snapshot, granted, lease.replica(),
+              queue_delays_ms, service_watch.ElapsedMillis(), responses);
+  // Record stage, one stats lock for the whole micro-batch: workers and
+  // the async flusher lanes contend on the stats mutex. A micro-batch
+  // whose every request was rejected served nothing and is not counted.
   if (samples.empty()) return;
-  // One lock acquisition for the whole micro-batch: workers and the
-  // async flusher lanes contend on the stats mutex, so the hot path
-  // must not take it per request.
   LeaseSample lease_sample;
   lease_sample.model = snapshot.name();
   lease_sample.version = snapshot.version();
   lease_sample.num_replicas = snapshot.num_replicas();
-  if (miss.empty()) {
-    // Fully served from the score cache: the snapshot is real but no
-    // lane was leased and no forward pass ran.
-    lease_sample.replica = -1;
-    lease_sample.active_lanes = 0;
-    lease_sample.lane_leased = false;
-  } else {
-    lease_sample.replica = lease.replica();
-    lease_sample.active_lanes = lease.active_lanes_at_acquire();
-  }
-  stats_.RecordMicroBatch(miss_items, samples, &lease_sample);
+  // Fully served from the score cache: no lane was leased, no forward.
+  lease_sample.lane_leased = static_cast<bool>(lease);
+  lease_sample.replica = lease ? lease.replica() : -1;
+  lease_sample.active_lanes = lease ? lease.active_lanes_at_acquire() : 0;
+  stats_.RecordMicroBatch(static_cast<int64_t>(misses.scores.size()), samples,
+                          &lease_sample);
 }
 
 void ServingEngine::RunJobs(std::vector<std::function<void()>> jobs) {
@@ -577,87 +576,59 @@ std::vector<RankResponse> ServingEngine::RankBatch(
   if (requests.empty()) return responses;
   Stopwatch submit_watch;
 
-  // Route: group request indices by (resolved model, rollout arm) —
-  // encoded as one route key — keeping first-seen route order and
-  // request order within a route. Splitting by arm keeps the invariant
-  // that one micro-batch runs on exactly one snapshot.
-  std::vector<std::string> route_order;
-  std::unordered_map<std::string, std::vector<size_t>> by_route;
-  // Slate-length admission, resolved once per route: a request with
-  // more candidates than the route snapshot's max_slate_items is
-  // rejected with kInvalidArgument here — retrieval sets larger than a
-  // listwise model's position table are ordinary client input, and they
-  // must never reach a forward whose slate-length CHECK would abort the
-  // process. (ExecuteMicroBatch re-validates against the snapshot it
-  // actually pins, covering a hot swap between here and the lease.)
-  struct RouteAdmission {
-    int64_t max_slate = 0;  // 0 = pointwise / unlimited.
-    int64_t version = 0;
+  // Route: group the admitted requests by (resolved model, rollout arm)
+  // — one route key — in first-seen route order, and pack each route's
+  // requests, in request order, into micro-batches of whole sessions up
+  // to the item cap. Splitting by arm keeps the invariant that one
+  // micro-batch runs on exactly one snapshot. Each route's snapshot is
+  // pinned once for admission; a rejected request gets its status here
+  // and the rest of the batch is served normally.
+  struct Route {
+    std::shared_ptr<const ModelSnapshot> snapshot;
+    std::vector<MicroBatch> micros;
   };
-  std::unordered_map<std::string, RouteAdmission> admission;
+  std::unordered_map<std::string, Route> routes;
+  std::vector<const Route*> route_order;  // Map nodes never move.
   for (size_t i = 0; i < requests.size(); ++i) {
-    AWMOE_CHECK(!requests[i].items.empty())
-        << "RankBatch: empty candidate list for session "
-        << requests[i].session_id;
-    const std::string name = pool_->ResolveName(requests[i].model);
-    const RolloutArm arm = RouteArm(name, requests[i]);
-    const std::string key = EncodeRouteKey(name, arm);
-    auto [limit_it, limit_new] = admission.try_emplace(key);
-    if (limit_new) {
-      std::shared_ptr<const ModelSnapshot> snapshot =
-          pool_->SnapshotForArm(name, arm, nullptr);
-      limit_it->second.max_slate = snapshot->max_slate_items();
-      limit_it->second.version = snapshot->version();
+    const std::optional<std::string> name =
+        pool_->LookupName(requests[i].model);
+    RolloutArm arm = RolloutArm::kStable;
+    Route* route = nullptr;
+    if (name.has_value()) {
+      arm = RouteArm(*name, requests[i]);
+      auto [it, inserted] = routes.try_emplace(EncodeRouteKey(*name, arm));
+      if (inserted) {
+        it->second.snapshot = pool_->SnapshotForArm(*name, arm, nullptr);
+        route_order.push_back(&it->second);
+      }
+      route = &it->second;
     }
-    const RouteAdmission& limit = limit_it->second;
-    if (limit.max_slate > 0 &&
-        static_cast<int64_t>(requests[i].items.size()) > limit.max_slate) {
-      RankResponse& response = responses[i];
-      response.status = Status::InvalidArgument(
-          "Rank: slate of " + std::to_string(requests[i].items.size()) +
-          " candidates exceeds model '" + name + "' max slate length " +
-          std::to_string(limit.max_slate));
-      response.session_id = requests[i].session_id;
-      response.model = name;
-      response.model_version = limit.version;
-      response.replica = -1;
+    const ModelSnapshot* snapshot =
+        route == nullptr ? nullptr : route->snapshot.get();
+    Status admitted = AdmitRequest(requests[i], snapshot);
+    if (!admitted.ok()) {
+      responses[i] =
+          AdmissionResponse(requests[i], std::move(admitted), snapshot);
       continue;
     }
-    auto [it, inserted] = by_route.try_emplace(key);
-    if (inserted) route_order.push_back(key);
-    it->second.push_back(i);
-  }
-
-  // Micro-batch: pack whole sessions per route until the item cap.
-  std::vector<MicroBatch> micros;
-  for (const std::string& key : route_order) {
-    auto [name, arm] = DecodeRouteKey(key);
-    MicroBatch current;
-    current.model = name;
-    current.arm = arm;
-    for (size_t idx : by_route.at(key)) {
-      const int64_t items =
-          static_cast<int64_t>(requests[idx].items.size());
-      if (!current.request_indices.empty() &&
-          current.total_items + items > options_.max_batch_items) {
-        micros.push_back(std::move(current));
-        current = MicroBatch();
-        current.model = name;
-        current.arm = arm;
-      }
-      current.request_indices.push_back(idx);
-      current.total_items += items;
+    const int64_t items = static_cast<int64_t>(requests[i].items.size());
+    std::vector<MicroBatch>& micros = route->micros;
+    if (micros.empty() ||
+        micros.back().total_items + items > options_.max_batch_items) {
+      micros.push_back(MicroBatch{*name, arm, {}, 0});
     }
-    if (!current.request_indices.empty()) micros.push_back(std::move(current));
+    micros.back().request_indices.push_back(i);
+    micros.back().total_items += items;
   }
 
   std::vector<std::function<void()>> jobs;
-  jobs.reserve(micros.size());
-  for (const MicroBatch& micro : micros) {
-    jobs.push_back([this, &micro, &requests, &submit_watch, &responses] {
-      ExecuteMicroBatch(micro, requests, /*queue_delays_ms=*/nullptr,
-                        submit_watch, &responses);
-    });
+  for (const Route* route : route_order) {
+    for (const MicroBatch& micro : route->micros) {
+      jobs.push_back([this, &micro, &requests, &submit_watch, &responses] {
+        ExecuteMicroBatch(micro, requests, /*queue_delays_ms=*/nullptr,
+                          submit_watch, &responses);
+      });
+    }
   }
   RunJobs(std::move(jobs));
   return responses;
@@ -669,38 +640,25 @@ RankResponse ServingEngine::Rank(const RankRequest& request) {
 }
 
 std::future<RankResponse> ServingEngine::Submit(RankRequest request) {
-  // Resolve the route up front (CHECK-fails on unknown names, matching
-  // the synchronous path) so per-route queues key on concrete names.
-  // The rollout arm is pinned here too — submit time, not flush time —
-  // so a ramp step between enqueue and flush cannot move a session
-  // mid-flight; a candidate rolled back in that window falls back to
-  // stable at lease time.
-  const std::string resolved = pool_->ResolveName(request.model);
-  const RolloutArm arm = RouteArm(resolved, request);
-  const std::string route_key = EncodeRouteKey(resolved, arm);
-  // Slate-length admission, mirroring RankBatch: reject before the
-  // request ever occupies queue space. A client error like the empty
-  // candidate list below — no version health sample is recorded.
-  {
-    std::shared_ptr<const ModelSnapshot> snapshot =
-        pool_->SnapshotForArm(resolved, arm, nullptr);
-    const int64_t max_slate = snapshot->max_slate_items();
-    if (max_slate > 0 &&
-        static_cast<int64_t>(request.items.size()) > max_slate) {
-      std::promise<RankResponse> promise;
-      RankResponse response;
-      response.status = Status::InvalidArgument(
-          "Submit: slate of " + std::to_string(request.items.size()) +
-          " candidates exceeds model '" + resolved + "' max slate length " +
-          std::to_string(max_slate));
-      response.session_id = request.session_id;
-      response.model = resolved;
-      response.model_version = snapshot->version();
-      response.replica = -1;
-      promise.set_value(std::move(response));
-      return promise.get_future();
-    }
+  // Resolve and admit up front, like RankBatch: a rejected request never
+  // occupies queue space (and, as a client error, feeds no version
+  // health sample), and per-route queues key on concrete names. The
+  // rollout arm is pinned at submit time too, so a ramp step before the
+  // flush cannot move a session mid-flight; a candidate rolled back in
+  // that window falls back to stable at lease time.
+  const std::optional<std::string> resolved = pool_->LookupName(request.model);
+  RolloutArm arm = RolloutArm::kStable;
+  std::shared_ptr<const ModelSnapshot> snapshot;
+  if (resolved.has_value()) {
+    arm = RouteArm(*resolved, request);
+    snapshot = pool_->SnapshotForArm(*resolved, arm, nullptr);
   }
+  Status admitted = AdmitRequest(request, snapshot.get());
+  if (!admitted.ok()) {
+    return ReadyFuture(
+        AdmissionResponse(request, std::move(admitted), snapshot.get()));
+  }
+  const std::string route_key = EncodeRouteKey(*resolved, arm);
   AsyncBatchQueue* queue = nullptr;
   {
     std::lock_guard<std::mutex> lock(async_mu_);
@@ -729,29 +687,21 @@ std::future<RankResponse> ServingEngine::Submit(RankRequest request) {
   }
   if (queue == nullptr) {
     // Stopped before the async front ever started.
-    std::promise<RankResponse> promise;
-    RankResponse response;
-    response.status = Status::Unavailable("Submit: serving engine is stopped");
-    response.session_id = request.session_id;
-    response.model = resolved;
-    promise.set_value(std::move(response));
-    return promise.get_future();
+    return ReadyFuture(AdmissionResponse(
+        request, Status::Unavailable("Submit: serving engine is stopped"),
+        snapshot.get()));
   }
   Status sync_reject;
   std::future<RankResponse> future =
-      queue->Submit(std::move(request), resolved, route_key, &sync_reject);
+      queue->Submit(std::move(request), *resolved, route_key, &sync_reject);
   // Serving-side rejects (backpressure, stopped) are failures of the
-  // arm the request was routed to — feed them to that version's health
+  // version the request was admitted on — feed them to its health
   // window so the rollout error-rate gate sees real overload, not just
-  // hand-recorded test samples. Client errors (empty candidate list)
-  // are not the model's fault and stay unattributed.
+  // hand-recorded test samples.
   if (sync_reject.code() == StatusCode::kResourceExhausted ||
       sync_reject.code() == StatusCode::kUnavailable) {
-    int64_t version = arm == RolloutArm::kCandidate
-                          ? pool_->CandidateVersion(resolved)
-                          : 0;
-    if (version == 0) version = pool_->CurrentSnapshot(resolved)->version();
-    stats_.RecordVersionSample(resolved, version, 0.0, /*ok=*/false);
+    stats_.RecordVersionSample(*resolved, snapshot->version(), 0.0,
+                               /*ok=*/false);
   }
   return future;
 }
@@ -790,7 +740,6 @@ void ServingEngine::FlushAsync(const std::string& route_key,
     queue_delays_ms[i] = std::chrono::duration<double, std::milli>(
                              flush_start - batch[i].enqueued_at)
                              .count();
-    micro.total_items += static_cast<int64_t>(batch[i].request.items.size());
     requests.push_back(std::move(batch[i].request));
   }
   // The queue grouped the batch under the (resolved name, rollout arm)

@@ -129,11 +129,9 @@ class ServingEngine {
   /// and dispatching micro-batches over the worker pool. Responses are
   /// returned in request order. Request latency is measured from call
   /// entry to that request's micro-batch completing, so queueing behind
-  /// other micro-batches shows up in the percentiles. A request whose
-  /// candidate count exceeds its route model's max slate length (slate-
-  /// scoring models only) is rejected at admission: its response
-  /// carries kInvalidArgument and no scores, and the rest of the batch
-  /// is served normally.
+  /// other micro-batches shows up in the percentiles. A request that
+  /// fails admission (see RankResponse::status) gets its status and no
+  /// scores; the rest of the batch is served normally.
   std::vector<RankResponse> RankBatch(
       const std::vector<RankRequest>& requests);
 
@@ -145,10 +143,9 @@ class ServingEngine {
   /// request has waited `max_queue_delay_ms`, then resolve each
   /// caller's future with its own slice of the scores. Scores are
   /// bitwise-identical to the synchronous path. The future ALWAYS
-  /// becomes ready: rejected requests (queue full, empty candidate
-  /// list, slate longer than a slate-scoring model's max slate length,
-  /// stopped engine) resolve immediately with a non-OK
-  /// `RankResponse::status` and no scores.
+  /// becomes ready: requests that fail admission (same statuses as
+  /// RankBatch), a full queue or a stopped engine resolve immediately
+  /// with a non-OK `RankResponse::status` and no scores.
   ///
   /// The candidate `Example`s must stay alive until the future
   /// resolves; the `RankRequest` itself is moved into the queue.
@@ -214,10 +211,11 @@ class ServingEngine {
                       const RankRequest& request) const;
 
   /// Scores one micro-batch under a snapshot+replica lease and fills
-  /// the matching responses. `queue_delays_ms`, when non-null, is
-  /// indexed like `requests` and holds the time each request spent in
-  /// the async queue; it is added to the reported latency and recorded
-  /// as the queue-delay metric.
+  /// the matching responses, as a short sequence of stage functions
+  /// (docs/serving.md, "Stages of a micro-batch"). `queue_delays_ms`,
+  /// when non-null, is indexed like `requests` and holds the time each
+  /// request spent in the async queue; it is added to the reported
+  /// latency and recorded as the queue-delay metric.
   void ExecuteMicroBatch(const MicroBatch& micro,
                          const std::vector<RankRequest>& requests,
                          const std::vector<double>* queue_delays_ms,

@@ -1,6 +1,7 @@
 #include "serving/shard.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -546,13 +547,17 @@ RankResponse ShardedServingFleet::Rank(const RankRequest& request) {
 
 std::future<RankResponse> ShardedServingFleet::Submit(RankRequest request) {
   std::shared_ptr<FleetShard> shard = ShardForSessionPtr(request.session_id);
+  // An unknown model is a client error, not load: the engine rejects it
+  // with kNotFound before it counts as admitted or shed.
+  std::optional<std::string> model = shard->pool->LookupName(request.model);
+  if (!model.has_value()) return shard->engine->Submit(std::move(request));
   const ShardLoad load = CurrentLoad(shard.get());
   const AdmissionDecision decision =
       shard->admission.Decide(load, request.deadline_ms);
   if (decision == AdmissionDecision::kShed) {
     RankResponse response;
     response.session_id = request.session_id;
-    response.model = shard->pool->ResolveName(request.model);
+    response.model = *std::move(model);
     const double deadline = request.deadline_ms > 0.0
                                 ? request.deadline_ms
                                 : options_.admission.default_deadline_ms;

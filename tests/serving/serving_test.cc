@@ -1218,5 +1218,170 @@ TEST_F(ServingTest, AbTestIsPairedAndDeterministic) {
   EXPECT_DOUBLE_EQ(same.uctr_p_value, 1.0);
 }
 
+// ---------------------------------------------------------------------
+// Admission: no client input aborts the process. An empty candidate
+// list or an unknown model becomes a per-request status, the same on
+// both fronts, and the well-formed requests of the same batch keep
+// their bitwise scores.
+// ---------------------------------------------------------------------
+
+// Scores `requests` one by one on a fresh engine: the bitwise reference.
+std::vector<std::vector<double>> SoloScores(
+    ModelPool* pool, const std::vector<RankRequest>& requests) {
+  ServingEngine solo(pool);
+  std::vector<std::vector<double>> scores;
+  for (const RankRequest& request : requests) {
+    RankResponse response = solo.Rank(request);
+    EXPECT_TRUE(response.status.ok()) << response.status;
+    scores.push_back(response.scores);
+  }
+  return scores;
+}
+
+TEST_F(ServingTest, EmptyCandidateListRejectedPerRequest) {
+  std::vector<RankRequest> good =
+      MakeSessionRequests(GroupBySession(data_->full_test));
+  good.resize(3);
+  auto solo_owner = MakeRegistry();
+  const std::vector<std::vector<double>> expected =
+      SoloScores(solo_owner.get(), good);
+
+  RankRequest empty;
+  empty.session_id = 4321;
+  auto registry_owner = MakeRegistry();
+  ServingEngine engine(registry_owner.get());
+  const std::vector<RankResponse> responses =
+      engine.RankBatch({good[0], empty, good[1], good[2]});
+  ASSERT_EQ(responses.size(), 4u);
+  const RankResponse& rejected = responses[1];
+  EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(rejected.scores.empty());
+  EXPECT_EQ(rejected.session_id, 4321);
+  EXPECT_EQ(rejected.model, "aw-moe");
+  EXPECT_EQ(rejected.replica, -1);
+  const size_t served[] = {0, 2, 3};
+  for (size_t g = 0; g < good.size(); ++g) {
+    const RankResponse& response = responses[served[g]];
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    ASSERT_EQ(response.scores.size(), expected[g].size());
+    for (size_t i = 0; i < expected[g].size(); ++i) {
+      EXPECT_EQ(response.scores[i], expected[g][i]) << "request " << g;
+    }
+  }
+  EXPECT_EQ(engine.stats().requests(), 3);  // Served traffic only.
+
+  // The async front rejects it with the identical status.
+  EXPECT_EQ(engine.Submit(empty).get().status, rejected.status);
+}
+
+TEST_F(ServingTest, UnknownModelNotFoundOnBothFrontsWithoutHealthSample) {
+  std::vector<RankRequest> good =
+      MakeSessionRequests(GroupBySession(data_->full_test));
+  good.resize(2);
+  auto solo_owner = MakeRegistry();
+  const std::vector<std::vector<double>> expected =
+      SoloScores(solo_owner.get(), good);
+
+  RankRequest unknown = good[0];
+  unknown.model = "no-such-model";
+  auto registry_owner = MakeRegistry();
+  ServingEngine engine(registry_owner.get());
+  const std::vector<RankResponse> responses =
+      engine.RankBatch({good[0], unknown, good[1]});
+  ASSERT_EQ(responses.size(), 3u);
+  const RankResponse& rejected = responses[1];
+  EXPECT_EQ(rejected.status.code(), StatusCode::kNotFound);
+  EXPECT_TRUE(rejected.scores.empty());
+  EXPECT_EQ(rejected.model, "no-such-model");
+  EXPECT_EQ(rejected.replica, -1);
+  for (size_t g = 0; g < good.size(); ++g) {
+    const RankResponse& response = responses[2 * g];
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    ASSERT_EQ(response.scores.size(), expected[g].size());
+    for (size_t i = 0; i < expected[g].size(); ++i) {
+      EXPECT_EQ(response.scores[i], expected[g][i]) << "request " << g;
+    }
+  }
+
+  const RankResponse async = engine.Submit(unknown).get();
+  EXPECT_EQ(async.status, rejected.status);
+  EXPECT_TRUE(async.scores.empty());
+
+  // A client error is no model's fault: the only health samples are the
+  // two served requests.
+  const ServingStatsSnapshot snap = engine.Stats();
+  EXPECT_EQ(snap.requests, 2);
+  ASSERT_EQ(snap.version_health.size(), 1u);
+  EXPECT_EQ(snap.version_health[0].model, "aw-moe");
+  EXPECT_EQ(snap.version_health[0].requests, 2);
+  EXPECT_EQ(snap.version_health[0].errors, 0);
+}
+
+// ---------------------------------------------------------------------
+// Per-level cache accounting across a history change, pinned exactly:
+// the level-1 score cache, the gate rows and the session encodings each
+// count one lookup per request, and a changed history is a stale gate
+// row (a plain gate miss) but an encoding and a score invalidation.
+// ---------------------------------------------------------------------
+
+TEST_F(ServingTest, HistoryChangeCountsEveryCacheLevelExactly) {
+  auto sessions = GroupBySession(data_->full_test);
+  size_t s = 0;
+  while (sessions[s].size() < 2) ++s;
+  const std::vector<Example> grown = MakeGrownSession(sessions[s]);
+  RankRequest before;
+  before.session_id = sessions[s][0]->session_id;
+  before.items = sessions[s];
+  RankRequest after = before;
+  after.items.clear();
+  for (const Example& ex : grown) after.items.push_back(&ex);
+  RankRequest page = after;  // Same grown history, fewer candidates.
+  page.items.resize(page.items.size() / 2);
+
+  auto registry_owner = MakeRegistry();
+  ServingEngine engine(registry_owner.get());
+  const RankResponse cold = engine.Rank(before);
+  const RankResponse changed = engine.Rank(after);
+  const RankResponse repeat = engine.Rank(after);
+  const RankResponse paged = engine.Rank(page);
+  EXPECT_FALSE(changed.score_cache_hit);
+  EXPECT_FALSE(changed.gate_cache_hit);
+  EXPECT_FALSE(changed.encoding_cache_hit);
+  EXPECT_TRUE(repeat.score_cache_hit);
+  EXPECT_TRUE(paged.gate_cache_hit);
+  EXPECT_TRUE(paged.encoding_cache_hit);
+
+  const ServingStats& stats = engine.stats();
+  EXPECT_EQ(stats.score_cache_hits(), 1);
+  EXPECT_EQ(stats.score_cache_misses(), 3);
+  EXPECT_EQ(stats.score_cache_invalidations(), 1);
+  EXPECT_EQ(stats.gate_cache_hits(), 1);
+  EXPECT_EQ(stats.gate_cache_misses(), 2);
+  EXPECT_EQ(stats.encoding_cache_hits(), 1);
+  EXPECT_EQ(stats.encoding_cache_misses(), 2);
+  EXPECT_EQ(stats.encoding_cache_invalidations(), 1);
+
+  // Every score is bitwise what an engine with no caches computes.
+  ServingEngineOptions off;
+  off.share_gate = false;
+  off.gate_cache_capacity = 0;
+  off.score_cache_capacity = 0;
+  off.share_session_encoding = false;
+  off.encoding_cache_capacity = 0;
+  auto cold_owner = MakeRegistry();
+  ServingEngine reference(cold_owner.get(), off);
+  const std::pair<const RankResponse*, const RankRequest*> served[] = {
+      {&cold, &before}, {&changed, &after}, {&repeat, &after},
+      {&paged, &page}};
+  for (const auto& [response, request] : served) {
+    const RankResponse want = reference.Rank(*request);
+    ASSERT_TRUE(response->status.ok()) << response->status;
+    ASSERT_EQ(response->scores.size(), want.scores.size());
+    for (size_t i = 0; i < want.scores.size(); ++i) {
+      EXPECT_EQ(response->scores[i], want.scores[i]) << "item " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace awmoe

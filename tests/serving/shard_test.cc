@@ -558,6 +558,45 @@ TEST_F(ShardedFleetTest, ShedsPastDeadlineWithoutTouchingVersionHealth) {
   fleet.Stop();
 }
 
+TEST_F(ShardedFleetTest, UnknownModelIsNotFoundEvenWhenItWouldShed) {
+  FleetOptions options;
+  options.num_shards = 2;
+  options.admission.enabled = true;
+  options.admission.max_shed_rate = 1.0;  // Pure shedding.
+  options.admission.load_refresh_every = 4;
+  ShardedServingFleet fleet(data_->meta, standardizer_, options);
+  fleet.RegisterOwned("aw-moe", model_->Clone());
+  const std::vector<RankRequest> requests = FixtureRequests();
+  for (const RankRequest& request : requests) {
+    ASSERT_TRUE(fleet.Submit(request).get().status.ok());
+  }
+  const FleetStats warm = fleet.Stats();
+
+  // An unknown model is a client error on every fleet path: admitted,
+  // past an impossible deadline (the shed path), and synchronous. It
+  // never counts as admitted or shed, and feeds no health window.
+  for (RankRequest request : requests) {
+    request.model = "no-such-model";
+    const RankResponse admitted = fleet.Submit(request).get();
+    EXPECT_EQ(admitted.status.code(), StatusCode::kNotFound);
+    EXPECT_TRUE(admitted.scores.empty());
+    request.deadline_ms = 1e-9;
+    const RankResponse would_shed = fleet.Submit(request).get();
+    EXPECT_EQ(would_shed.status, admitted.status);
+    EXPECT_EQ(fleet.Rank(request).status, admitted.status);
+  }
+  const FleetStats stats = fleet.Stats();
+  EXPECT_EQ(stats.admitted, warm.admitted);
+  EXPECT_EQ(stats.shed, warm.shed);
+  EXPECT_EQ(stats.merged.requests, warm.merged.requests);
+  for (const auto& health : stats.merged.version_health) {
+    EXPECT_EQ(health.model, "aw-moe");
+    EXPECT_EQ(health.requests, warm.merged.requests);
+    EXPECT_EQ(health.errors, 0);
+  }
+  fleet.Stop();
+}
+
 TEST_F(ShardedFleetTest, FleetStatsMergeShardReservoirs) {
   auto fleet = MakeFleet(3);
   const std::vector<RankRequest> requests = FixtureRequests();
