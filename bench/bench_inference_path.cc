@@ -3,8 +3,9 @@
 // over micro-batch sizes. Reported per case:
 //   - p50_us / p99_us: manual per-iteration latency percentiles
 //     (steady_clock around ONLY the model call);
-//   - allocs_per_op: heap allocations per forward, measured by a global
-//     operator-new interposer scoped to the model call — the ScoreInto
+//   - allocs_per_op: heap allocations per forward, counted by the
+//     shared operator-new interposer (tests/support/alloc_counter.h)
+//     around the model call — the ScoreInto
 //     rows must read 0 after warm-up, the legacy rows show the per-op
 //     graph/Matrix allocation load ScoreInto removes;
 //   - items_per_second: scored candidates per second.
@@ -21,11 +22,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -36,36 +34,7 @@
 #include "models/dnn_ranker.h"
 #include "nn/inference.h"
 #include "serving/request.h"
-
-namespace {
-
-// ---------------------------------------------------------------------
-// Operator-new interposer: counts every allocation in the binary; each
-// benchmark iteration reads the counter around the model call only.
-// ---------------------------------------------------------------------
-
-std::atomic<int64_t> g_alloc_count{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/alloc_counter.h"
 
 namespace {
 
@@ -197,8 +166,7 @@ void RunInference(benchmark::State& state, Ranker* model, Path path,
   iteration_us.reserve(1 << 14);
   int64_t allocs = 0;
   for (auto _ : state) {
-    const int64_t alloc_before =
-        g_alloc_count.load(std::memory_order_relaxed);
+    const int64_t alloc_before = HeapAllocationCount();
     const auto start = std::chrono::steady_clock::now();
     switch (path) {
       case Path::kLegacy: {
@@ -225,7 +193,7 @@ void RunInference(benchmark::State& state, Ranker* model, Path path,
         break;
     }
     const auto stop = std::chrono::steady_clock::now();
-    allocs += g_alloc_count.load(std::memory_order_relaxed) - alloc_before;
+    allocs += HeapAllocationCount() - alloc_before;
     iteration_us.push_back(
         std::chrono::duration<double, std::micro>(stop - start).count());
   }

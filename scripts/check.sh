@@ -9,8 +9,9 @@
 #   scripts/check.sh --tsan [build_dir]    # ThreadSanitizer build of the
 #                                          # serving concurrency suites
 #   scripts/check.sh --asan [build_dir]    # AddressSanitizer build of the
-#                                          # serving + model suites (snapshot
-#                                          # lifetime / use-after-free)
+#                                          # serving, model, mat and autograd
+#                                          # suites (snapshot lifetime /
+#                                          # use-after-free, kernel bounds)
 #   scripts/check.sh --werror [build_dir]  # warnings-hardened build of the
 #                                          # core library (-Wall -Wextra -Werror)
 #
@@ -98,11 +99,12 @@ if [ "$ASAN" = 1 ]; then
   # rollout candidate dropped while leased) freed while a lease still
   # reads its replicas is a heap-use-after-free TSan cannot see. The
   # models suite covers clone storage; the serving suites cover
-  # lease/retire under load.
-  echo "== ctest (serving + model suites under ASan) =="
+  # lease/retire under load. The mat and autograd suites run the shared
+  # view kernels from their training callers (Matrix ops and the graph).
+  echo "== ctest (serving + model + kernel + autograd suites under ASan) =="
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R "^(serving_|models_)"
+    -R "^(serving_|models_|mat_|autograd_)"
 
   echo "== check.sh --asan OK =="
   exit 0

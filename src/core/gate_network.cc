@@ -248,7 +248,7 @@ void GateNetwork::InferInto(const Batch& batch, InferenceArena* arena,
   }
 
   AddBiasInPlace(out, gate_bias_.value());
-  if (config_.softmax) SoftmaxRowsInPlace(out);
+  if (config_.softmax) SoftmaxRowsInto(out, out);
   if (config_.top_k > 0 && config_.top_k < k) {
     // Sparsely-gated MoE (§V): hard top-k selection, same tie-breaking
     // as the training path's TopKMaskRows.

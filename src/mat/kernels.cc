@@ -12,6 +12,13 @@ void CheckSameShape(const Matrix& a, const Matrix& b, const char* op) {
                               << " vs " << b.ShapeString();
 }
 
+void CheckSameShapeView(const ConstMatView& a, const ConstMatView& b,
+                        const char* op) {
+  AWMOE_CHECK(a.rows == b.rows && a.cols == b.cols)
+      << op << ": shape mismatch " << a.rows << "x" << a.cols << " vs "
+      << b.rows << "x" << b.cols;
+}
+
 template <typename Fn>
 Matrix ElementwiseUnary(const Matrix& a, Fn fn) {
   Matrix out(a.rows(), a.cols());
@@ -24,14 +31,18 @@ Matrix ElementwiseUnary(const Matrix& a, Fn fn) {
 
 }  // namespace
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  AWMOE_CHECK(a.cols() == b.rows())
-      << "MatMul: " << a.ShapeString() << " * " << b.ShapeString();
-  const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  Matrix c(m, n);
+void MatMulViewInto(const ConstMatView& a, const ConstMatView& b,
+                    MatView out) {
+  AWMOE_CHECK(a.cols == b.rows)
+      << "MatMul: " << a.rows << "x" << a.cols << " * " << b.rows << "x"
+      << b.cols;
+  AWMOE_CHECK(out.rows == a.rows && out.cols == b.cols)
+      << "MatMul: out " << out.rows << "x" << out.cols;
+  const int64_t m = a.rows, k = a.cols, n = b.cols;
   for (int64_t i = 0; i < m; ++i) {
     const float* arow = a.row(i);
-    float* crow = c.row(i);
+    float* crow = out.row(i);
+    std::fill(crow, crow + n, 0.0f);
     for (int64_t p = 0; p < k; ++p) {
       const float aip = arow[p];
       if (aip == 0.0f) continue;
@@ -39,6 +50,11 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
       for (int64_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
     }
   }
+}
+
+Matrix MatMul(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  MatMulViewInto(MatrixView(a), MatrixView(b), MutableView(&c));
   return c;
 }
 
@@ -60,15 +76,17 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
-  AWMOE_CHECK(a.cols() == b.cols())
-      << "MatMulTransB: " << a.ShapeString() << " * " << b.ShapeString()
-      << "^T";
-  const int64_t m = a.rows(), k = a.cols(), n = b.rows();
-  Matrix c(m, n);
+void MatMulNTViewInto(const ConstMatView& a, const ConstMatView& b,
+                      MatView out) {
+  AWMOE_CHECK(a.cols == b.cols)
+      << "MatMulTransB: " << a.rows << "x" << a.cols << " * " << b.rows
+      << "x" << b.cols << "^T";
+  AWMOE_CHECK(out.rows == a.rows && out.cols == b.rows)
+      << "MatMulTransB: out " << out.rows << "x" << out.cols;
+  const int64_t m = a.rows, k = a.cols, n = b.rows;
   for (int64_t i = 0; i < m; ++i) {
     const float* arow = a.row(i);
-    float* crow = c.row(i);
+    float* crow = out.row(i);
     for (int64_t j = 0; j < n; ++j) {
       const float* brow = b.row(j);
       float acc = 0.0f;
@@ -76,6 +94,11 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
       crow[j] = acc;
     }
   }
+}
+
+Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.rows());
+  MatMulNTViewInto(MatrixView(a), MatrixView(b), MutableView(&c));
   return c;
 }
 
@@ -108,13 +131,20 @@ Matrix Sub(const Matrix& a, const Matrix& b) {
   return out;
 }
 
+void MulInto(const ConstMatView& a, const ConstMatView& b, MatView out) {
+  CheckSameShapeView(a, b, "Mul");
+  CheckSameShapeView(a, out, "Mul(out)");
+  for (int64_t r = 0; r < a.rows; ++r) {
+    const float* pa = a.row(r);
+    const float* pb = b.row(r);
+    float* po = out.row(r);
+    for (int64_t c = 0; c < a.cols; ++c) po[c] = pa[c] * pb[c];
+  }
+}
+
 Matrix Mul(const Matrix& a, const Matrix& b) {
-  CheckSameShape(a, b, "Mul");
   Matrix out(a.rows(), a.cols());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < a.size(); ++i) po[i] = pa[i] * pb[i];
+  MulInto(MatrixView(a), MatrixView(b), MutableView(&out));
   return out;
 }
 
@@ -128,11 +158,17 @@ Matrix Div(const Matrix& a, const Matrix& b) {
   return out;
 }
 
+void AddInPlace(MatView a, const ConstMatView& b) {
+  CheckSameShapeView(a, b, "AddInPlace");
+  for (int64_t r = 0; r < a.rows; ++r) {
+    float* pa = a.row(r);
+    const float* pb = b.row(r);
+    for (int64_t c = 0; c < a.cols; ++c) pa[c] = pa[c] + pb[c];
+  }
+}
+
 void AddInPlace(Matrix* a, const Matrix& b) {
-  CheckSameShape(*a, b, "AddInPlace");
-  float* pa = a->data();
-  const float* pb = b.data();
-  for (int64_t i = 0; i < a->size(); ++i) pa[i] += pb[i];
+  AddInPlace(MutableView(a), MatrixView(b));
 }
 
 void AxpyInPlace(Matrix* a, float alpha, const Matrix& b) {
@@ -142,10 +178,14 @@ void AxpyInPlace(Matrix* a, float alpha, const Matrix& b) {
   for (int64_t i = 0; i < a->size(); ++i) pa[i] += alpha * pb[i];
 }
 
-void ScaleInPlace(Matrix* a, float s) {
-  float* pa = a->data();
-  for (int64_t i = 0; i < a->size(); ++i) pa[i] *= s;
+void ScaleInPlace(MatView a, float s) {
+  for (int64_t r = 0; r < a.rows; ++r) {
+    float* arow = a.row(r);
+    for (int64_t c = 0; c < a.cols; ++c) arow[c] = arow[c] * s;
+  }
 }
+
+void ScaleInPlace(Matrix* a, float s) { ScaleInPlace(MutableView(a), s); }
 
 Matrix AddScalar(const Matrix& a, float s) {
   return ElementwiseUnary(a, [s](float x) { return x + s; });
@@ -155,8 +195,21 @@ Matrix MulScalar(const Matrix& a, float s) {
   return ElementwiseUnary(a, [s](float x) { return x * s; });
 }
 
+void ReluInto(const ConstMatView& a, MatView out) {
+  CheckSameShapeView(a, out, "Relu");
+  for (int64_t r = 0; r < a.rows; ++r) {
+    const float* arow = a.row(r);
+    float* orow = out.row(r);
+    for (int64_t c = 0; c < a.cols; ++c) {
+      orow[c] = arow[c] > 0.0f ? arow[c] : 0.0f;
+    }
+  }
+}
+
 Matrix Relu(const Matrix& a) {
-  return ElementwiseUnary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
+  Matrix out(a.rows(), a.cols());
+  ReluInto(MatrixView(a), MutableView(&out));
+  return out;
 }
 
 Matrix ReluBackward(const Matrix& grad, const Matrix& input) {
@@ -171,16 +224,14 @@ Matrix ReluBackward(const Matrix& grad, const Matrix& input) {
   return out;
 }
 
+void SigmoidInto(const float* x, float* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = StableSigmoid(x[i]);
+}
+
 Matrix Sigmoid(const Matrix& a) {
-  return ElementwiseUnary(a, [](float x) {
-    // Split by sign for numerical stability.
-    if (x >= 0.0f) {
-      float z = std::exp(-x);
-      return 1.0f / (1.0f + z);
-    }
-    float z = std::exp(x);
-    return z / (1.0f + z);
-  });
+  Matrix out(a.rows(), a.cols());
+  SigmoidInto(a.data(), out.data(), a.size());
+  return out;
 }
 
 Matrix Tanh(const Matrix& a) {
@@ -214,29 +265,43 @@ Matrix Clip(const Matrix& a, float lo, float hi) {
       a, [lo, hi](float x) { return std::min(std::max(x, lo), hi); });
 }
 
-Matrix AddRowBroadcast(const Matrix& a, const Matrix& b) {
-  AWMOE_CHECK(b.rows() == 1 && b.cols() == a.cols())
-      << "AddRowBroadcast: " << a.ShapeString() << " + " << b.ShapeString();
-  Matrix out(a.rows(), a.cols());
-  const float* pb = b.data();
-  for (int64_t r = 0; r < a.rows(); ++r) {
+void AddRowBroadcastInto(const ConstMatView& a, const ConstMatView& bias,
+                         MatView out) {
+  AWMOE_CHECK(bias.rows == 1 && bias.cols == a.cols)
+      << "AddRowBroadcast: " << a.rows << "x" << a.cols << " + "
+      << bias.rows << "x" << bias.cols;
+  CheckSameShapeView(a, out, "AddRowBroadcast(out)");
+  const float* pb = bias.row(0);
+  for (int64_t r = 0; r < a.rows; ++r) {
     const float* arow = a.row(r);
     float* orow = out.row(r);
-    for (int64_t c = 0; c < a.cols(); ++c) orow[c] = arow[c] + pb[c];
+    for (int64_t c = 0; c < a.cols; ++c) orow[c] = arow[c] + pb[c];
   }
+}
+
+Matrix AddRowBroadcast(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), a.cols());
+  AddRowBroadcastInto(MatrixView(a), MatrixView(b), MutableView(&out));
   return out;
 }
 
-Matrix MulColBroadcast(const Matrix& a, const Matrix& w) {
-  AWMOE_CHECK(w.cols() == 1 && w.rows() == a.rows())
-      << "MulColBroadcast: " << a.ShapeString() << " * " << w.ShapeString();
-  Matrix out(a.rows(), a.cols());
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    const float wr = w(r, 0);
+void MulColBroadcastInto(const ConstMatView& a, const ConstMatView& w,
+                         MatView out) {
+  AWMOE_CHECK(w.cols == 1 && w.rows == a.rows)
+      << "MulColBroadcast: " << a.rows << "x" << a.cols << " * " << w.rows
+      << "x" << w.cols;
+  CheckSameShapeView(a, out, "MulColBroadcast(out)");
+  for (int64_t r = 0; r < a.rows; ++r) {
+    const float wr = *w.row(r);
     const float* arow = a.row(r);
     float* orow = out.row(r);
-    for (int64_t c = 0; c < a.cols(); ++c) orow[c] = arow[c] * wr;
+    for (int64_t c = 0; c < a.cols; ++c) orow[c] = arow[c] * wr;
   }
+}
+
+Matrix MulColBroadcast(const Matrix& a, const Matrix& w) {
+  Matrix out(a.rows(), a.cols());
+  MulColBroadcastInto(MatrixView(a), MatrixView(w), MutableView(&out));
   return out;
 }
 
@@ -330,34 +395,45 @@ double Norm(const Matrix& a) {
   return std::sqrt(acc);
 }
 
-Matrix DotRows(const Matrix& a, const Matrix& b) {
-  CheckSameShape(a, b, "DotRows");
-  Matrix out(a.rows(), 1);
-  for (int64_t r = 0; r < a.rows(); ++r) {
+void DotRowsInto(const ConstMatView& a, const ConstMatView& b, MatView out) {
+  CheckSameShapeView(a, b, "DotRows");
+  AWMOE_CHECK(out.rows == a.rows && out.cols == 1)
+      << "DotRows: out " << out.rows << "x" << out.cols;
+  for (int64_t r = 0; r < a.rows; ++r) {
     const float* arow = a.row(r);
     const float* brow = b.row(r);
     float acc = 0.0f;
-    for (int64_t c = 0; c < a.cols(); ++c) acc += arow[c] * brow[c];
-    out(r, 0) = acc;
+    for (int64_t c = 0; c < a.cols; ++c) acc += arow[c] * brow[c];
+    *out.row(r) = acc;
   }
+}
+
+Matrix DotRows(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), 1);
+  DotRowsInto(MatrixView(a), MatrixView(b), MutableView(&out));
   return out;
 }
 
-Matrix SoftmaxRows(const Matrix& a) {
-  AWMOE_CHECK(a.cols() > 0);
-  Matrix out(a.rows(), a.cols());
-  for (int64_t r = 0; r < a.rows(); ++r) {
+void SoftmaxRowsInto(const ConstMatView& a, MatView out) {
+  AWMOE_CHECK(a.cols > 0) << "SoftmaxRows on empty rows";
+  CheckSameShapeView(a, out, "SoftmaxRows(out)");
+  for (int64_t r = 0; r < a.rows; ++r) {
     const float* arow = a.row(r);
     float* orow = out.row(r);
     float max_val = arow[0];
-    for (int64_t c = 1; c < a.cols(); ++c) max_val = std::max(max_val, arow[c]);
+    for (int64_t c = 1; c < a.cols; ++c) max_val = std::max(max_val, arow[c]);
     float denom = 0.0f;
-    for (int64_t c = 0; c < a.cols(); ++c) {
+    for (int64_t c = 0; c < a.cols; ++c) {
       orow[c] = std::exp(arow[c] - max_val);
       denom += orow[c];
     }
-    for (int64_t c = 0; c < a.cols(); ++c) orow[c] /= denom;
+    for (int64_t c = 0; c < a.cols; ++c) orow[c] /= denom;
   }
+}
+
+Matrix SoftmaxRows(const Matrix& a) {
+  Matrix out(a.rows(), a.cols());
+  SoftmaxRowsInto(MatrixView(a), MutableView(&out));
   return out;
 }
 
@@ -409,16 +485,24 @@ Matrix LogSumExpRows(const Matrix& a) {
   return out;
 }
 
-Matrix GatherRows(const Matrix& a, const std::vector<int64_t>& indices) {
-  Matrix out(static_cast<int64_t>(indices.size()), a.cols());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    int64_t idx = indices[i];
-    AWMOE_CHECK(idx >= 0 && idx < a.rows())
-        << "GatherRows: index " << idx << " out of " << a.rows();
-    const float* src = a.row(idx);
-    float* dst = out.row(static_cast<int64_t>(i));
-    std::copy(src, src + a.cols(), dst);
+void GatherRowsInto(const Matrix& table, const int64_t* ids, int64_t count,
+                    int64_t id_stride, MatView out) {
+  AWMOE_CHECK(out.rows == count && out.cols == table.cols())
+      << "GatherRows: out " << out.rows << "x" << out.cols << " for "
+      << count << " rows of " << table.ShapeString();
+  for (int64_t i = 0; i < count; ++i) {
+    const int64_t idx = ids[i * id_stride];
+    AWMOE_CHECK(idx >= 0 && idx < table.rows())
+        << "GatherRows: index " << idx << " out of " << table.rows();
+    const float* src = table.row(idx);
+    std::copy(src, src + table.cols(), out.row(i));
   }
+}
+
+Matrix GatherRows(const Matrix& a, const std::vector<int64_t>& indices) {
+  const int64_t count = static_cast<int64_t>(indices.size());
+  Matrix out(count, a.cols());
+  GatherRowsInto(a, indices.data(), count, /*id_stride=*/1, MutableView(&out));
   return out;
 }
 
@@ -484,23 +568,46 @@ Matrix SliceRows(const Matrix& a, int64_t begin, int64_t end) {
   return out;
 }
 
-Matrix TopKMaskRows(const Matrix& a, int64_t k) {
-  AWMOE_CHECK(k >= 1 && k <= a.cols())
-      << "TopKMaskRows: k=" << k << " cols=" << a.cols();
-  Matrix out(a.rows(), a.cols());
-  std::vector<int64_t> order(static_cast<size_t>(a.cols()));
-  for (int64_t r = 0; r < a.rows(); ++r) {
+void TopKMaskRowsInto(const ConstMatView& a, int64_t k, MatView mask) {
+  AWMOE_CHECK(k >= 1 && k <= a.cols)
+      << "TopKMaskRows: k=" << k << " cols=" << a.cols;
+  CheckSameShapeView(a, mask, "TopKMaskRows(mask)");
+  for (int64_t r = 0; r < a.rows; ++r) {
     const float* arow = a.row(r);
-    for (int64_t c = 0; c < a.cols(); ++c) order[c] = c;
-    std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                      [arow](int64_t x, int64_t y) {
-                        if (arow[x] != arow[y]) return arow[x] > arow[y];
-                        return x < y;
-                      });
-    float* orow = out.row(r);
-    for (int64_t i = 0; i < k; ++i) orow[order[i]] = 1.0f;
+    float* mrow = mask.row(r);
+    for (int64_t c = 0; c < a.cols; ++c) {
+      int64_t ahead = 0;
+      for (int64_t o = 0; o < a.cols; ++o) {
+        if (arow[o] > arow[c] || (arow[o] == arow[c] && o < c)) ++ahead;
+      }
+      mrow[c] = ahead < k ? 1.0f : 0.0f;
+    }
   }
+}
+
+Matrix TopKMaskRows(const Matrix& a, int64_t k) {
+  Matrix out(a.rows(), a.cols());
+  TopKMaskRowsInto(MatrixView(a), k, MutableView(&out));
   return out;
+}
+
+void CopyInto(const ConstMatView& src, MatView out) {
+  CheckSameShapeView(src, out, "CopyInto");
+  for (int64_t r = 0; r < src.rows; ++r) {
+    const float* s = src.row(r);
+    std::copy(s, s + src.cols, out.row(r));
+  }
+}
+
+void ConcatInteractionInto(const ConstMatView& a, const ConstMatView& b,
+                           MatView out) {
+  CheckSameShapeView(a, b, "ConcatInteractionInto");
+  AWMOE_CHECK(out.rows == a.rows && out.cols == 3 * a.cols)
+      << "ConcatInteractionInto: out " << out.rows << "x" << out.cols;
+  const int64_t d = a.cols;
+  CopyInto(a, out.ColBlock(0, d));
+  CopyInto(b, out.ColBlock(d, d));
+  MulInto(a, b, out.ColBlock(2 * d, d));
 }
 
 bool AllClose(const Matrix& a, const Matrix& b, float tol) {

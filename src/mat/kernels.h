@@ -1,10 +1,12 @@
 #ifndef AWMOE_MAT_KERNELS_H_
 #define AWMOE_MAT_KERNELS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "mat/matrix.h"
+#include "mat/view.h"
 
 namespace awmoe {
 
@@ -12,6 +14,13 @@ namespace awmoe {
 // AWMOE_CHECK (shape bugs are programmer errors, not recoverable states).
 // Kernels return results by value; gradient-accumulation variants mutate in
 // place and end in `InPlace`.
+//
+// ONE LOOP PER OP: an op that both the autograd graph and the graph-free
+// inference path run has exactly one scalar loop, written over views (the
+// last section of this file). Its Matrix form allocates the result and
+// calls that view kernel, and the reference kernel tier (nn/inference.h)
+// dispatches to the same function, so training and the reference tier
+// agree bitwise by construction.
 
 // ---------------------------------------------------------------------------
 // GEMM family.
@@ -138,12 +147,92 @@ Matrix SliceCols(const Matrix& a, int64_t begin, int64_t end);
 Matrix SliceRows(const Matrix& a, int64_t begin, int64_t end);
 
 /// Per row, 1.0 at the k largest entries and 0.0 elsewhere (ties broken by
-/// lower column index). k must be in [1, cols].
+/// lower column index; TopKMaskRowsInto is the rule). k must be in
+/// [1, cols].
 Matrix TopKMaskRows(const Matrix& a, int64_t k);
 
 /// True if all elements of a and b are within `tol` of each other
 /// (and shapes match).
 bool AllClose(const Matrix& a, const Matrix& b, float tol);
+
+// ---------------------------------------------------------------------------
+// View kernels: the one scalar loop of each op shared by a Matrix op above,
+// the reference kernel tier and the inference modules. Each writes into a
+// caller-provided view and iterates c < cols only, so padded row strides are
+// never touched. "Aliasing allowed" means out may be exactly the input view
+// (same data, same stride), which gives the same bits as out of place.
+// ---------------------------------------------------------------------------
+
+/// out = src (element copy).
+void CopyInto(const ConstMatView& src, MatView out);
+
+/// out = a[m,k] * b[k,n] (MatMul). Zeroes each out row, then accumulates
+/// in ikj order, skipping zero `a` elements.
+void MatMulViewInto(const ConstMatView& a, const ConstMatView& b,
+                    MatView out);
+
+/// out = a[m,k] * b[n,k]^T (MatMulTransB): one i/j/p dot product per
+/// output element.
+void MatMulNTViewInto(const ConstMatView& a, const ConstMatView& b,
+                      MatView out);
+
+/// out = a[m,n] + bias[1,n] broadcast over rows (AddRowBroadcast).
+/// Aliasing allowed.
+void AddRowBroadcastInto(const ConstMatView& a, const ConstMatView& bias,
+                         MatView out);
+
+/// out = max(a, 0) elementwise (Relu). Aliasing allowed.
+void ReluInto(const ConstMatView& a, MatView out);
+
+/// The sigmoid's per-element form, split by sign for stability.
+inline float StableSigmoid(float x) {
+  if (x >= 0.0f) {
+    float z = std::exp(-x);
+    return 1.0f / (1.0f + z);
+  }
+  float z = std::exp(x);
+  return z / (1.0f + z);
+}
+
+/// out[i] = StableSigmoid(x[i]) over n contiguous floats (Sigmoid).
+/// Aliasing allowed.
+void SigmoidInto(const float* x, float* out, int64_t n);
+
+/// out = a * b elementwise (Mul). Aliasing allowed.
+void MulInto(const ConstMatView& a, const ConstMatView& b, MatView out);
+
+/// a += b elementwise (same shape).
+void AddInPlace(MatView a, const ConstMatView& b);
+
+/// out[r][c] = a[r][c] * w[r][0] (MulColBroadcast). Aliasing of a allowed.
+void MulColBroadcastInto(const ConstMatView& a, const ConstMatView& w,
+                         MatView out);
+
+/// out[r][0] = dot(a.row(r), b.row(r)) (DotRows).
+void DotRowsInto(const ConstMatView& a, const ConstMatView& b, MatView out);
+
+/// Row-wise softmax, max-subtracted (SoftmaxRows). Aliasing allowed.
+void SoftmaxRowsInto(const ConstMatView& a, MatView out);
+
+/// out.row(i) = table.row(ids[i * id_stride]) (GatherRows); the stride lets
+/// callers gather one sequence position directly from a Batch's row-major
+/// [size * seq_len] id layout without building an index vector.
+void GatherRowsInto(const Matrix& table, const int64_t* ids, int64_t count,
+                    int64_t id_stride, MatView out);
+
+/// a *= s elementwise.
+void ScaleInPlace(MatView a, float s);
+
+/// The one top-k selection rule: mask(r,c) = 1.0 when fewer than k
+/// entries of row r rank strictly ahead of a(r,c) under (value desc,
+/// column asc), else 0.0. No aliasing: every rank reads unmodified values.
+void TopKMaskRowsInto(const ConstMatView& a, int64_t k, MatView mask);
+
+/// out[B, 3d] = [a | b | a*b] — the "product path" input layout shared by
+/// the activation unit (Fig. 4a) and the gate unit (Fig. 4c). One
+/// definition so the layout cannot drift between the two.
+void ConcatInteractionInto(const ConstMatView& a, const ConstMatView& b,
+                           MatView out);
 
 }  // namespace awmoe
 

@@ -52,7 +52,7 @@ void CategoryMoeRanker::GateRowsInto(const Batch& batch,
   MatView cat_emb = arena->Alloc(batch.size, dims_.emb_dim);
   embeddings_.CategoryInto(cats.data(), batch.size, cat_emb);
   gate_mlp_.InferInto(cat_emb, arena, g);
-  SoftmaxRowsInPlace(g);
+  SoftmaxRowsInto(g, g);
   arena->Rewind(mark);
 }
 

@@ -185,7 +185,7 @@ void ListwiseReranker::ScoreSlateInto(const Batch& batch,
         const ConstMatView vb(v.row(begin) + h * dh, len, dh, v.stride);
         MatMulNTViewInto(qb, kb, scores);
         ScaleInPlace(scores, inv_sqrt);
-        SoftmaxRowsInPlace(scores);
+        SoftmaxRowsInto(scores, scores);
         MatMulViewInto(scores, vb,
                        MatView{ctx.row(begin) + h * dh, len, dh, ctx.stride});
         arena->Rewind(mark);

@@ -1,12 +1,13 @@
 #ifndef AWMOE_NN_INFERENCE_H_
 #define AWMOE_NN_INFERENCE_H_
 
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "mat/kernels.h"
 #include "mat/matrix.h"
+#include "mat/view.h"
 
 namespace awmoe {
 
@@ -23,13 +24,12 @@ namespace awmoe {
 // AddBiasInPlace, SigmoidSpanInto) dispatch through a process-global
 // KernelDispatchTable with two tiers.
 //
-//  - kReference — BITWISE CONTRACT: performs exactly the per-element
-//    arithmetic, in exactly the accumulation order, of its
-//    mat/kernels.cc counterpart (which the autograd ops forward to).
-//    The module-level InferInto methods materialise one buffer per op
-//    of the original Var expression instead of fusing, so ScoreInto
-//    reproduces InferenceLogits bit for bit — regression-tested in
-//    tests/models/inference_path_test.cc.
+//  - kReference — BITWISE CONTRACT: its table entries are the scalar
+//    view kernels of mat/kernels.h, the same functions the Matrix ops
+//    (and so the autograd ops) call. The module-level InferInto methods
+//    materialise one buffer per op of the original Var expression
+//    instead of fusing, so ScoreInto reproduces InferenceLogits bit for
+//    bit — regression-tested in tests/models/inference_path_test.cc.
 //  - kFast — EPSILON CONTRACT: AVX2/FMA cache-tiled kernels
 //    (src/nn/kernels_fast.cc). FMA contraction and register-blocked
 //    accumulation reassociate the float sums, so results agree with
@@ -45,57 +45,6 @@ namespace awmoe {
 // but "" or "0") pins the reference tier; otherwise the fast tier is
 // used when the binary carries it and CPUID reports AVX2+FMA. Tests
 // pin tiers explicitly with ScopedKernelTier.
-
-/// Non-owning, mutable view of a row-major [rows, cols] block whose rows
-/// are `stride` floats apart (stride >= cols; a column block of a wider
-/// buffer keeps the parent's stride).
-struct MatView {
-  float* data = nullptr;
-  int64_t rows = 0;
-  int64_t cols = 0;
-  int64_t stride = 0;
-
-  float* row(int64_t r) const { return data + r * stride; }
-
-  /// Columns [begin, begin + width) as a sub-view (same rows).
-  MatView ColBlock(int64_t begin, int64_t width) const {
-    AWMOE_DCHECK(begin >= 0 && width >= 0 && begin + width <= cols)
-        << "ColBlock [" << begin << "," << begin + width << ") of " << cols;
-    return MatView{data + begin, rows, width, stride};
-  }
-};
-
-/// Read-only view; converts implicitly from MatView and wraps const
-/// Matrix storage (batch features, cached gate rows) without copying.
-/// A broadcast row is expressed as stride == 0.
-struct ConstMatView {
-  const float* data = nullptr;
-  int64_t rows = 0;
-  int64_t cols = 0;
-  int64_t stride = 0;
-
-  ConstMatView() = default;
-  ConstMatView(const float* data, int64_t rows, int64_t cols, int64_t stride)
-      : data(data), rows(rows), cols(cols), stride(stride) {}
-  ConstMatView(const MatView& v)  // NOLINT(google-explicit-constructor)
-      : data(v.data), rows(v.rows), cols(v.cols), stride(v.stride) {}
-
-  const float* row(int64_t r) const { return data + r * stride; }
-};
-
-/// Whole-matrix read view.
-inline ConstMatView MatrixView(const Matrix& m) {
-  return ConstMatView(m.data(), m.rows(), m.cols(), m.cols());
-}
-
-/// Columns [begin, begin + width) of a matrix as a read view.
-inline ConstMatView MatrixColsView(const Matrix& m, int64_t begin,
-                                   int64_t width) {
-  AWMOE_DCHECK(begin >= 0 && width >= 0 && begin + width <= m.cols())
-      << "MatrixColsView [" << begin << "," << begin + width << ") of "
-      << m.cols();
-  return ConstMatView(m.data() + begin, m.rows(), width, m.cols());
-}
 
 /// A 64-byte-aligned float buffer that only ever grows (no content
 /// preservation across grows — it backs scratch slabs). Alignment is an
@@ -230,7 +179,7 @@ class InferenceWorkspace {
 // ---------------------------------------------------------------------
 
 enum class KernelTier {
-  kReference = 0,  // Scalar, bitwise-identical to mat/kernels.cc.
+  kReference = 0,  // Scalar: the mat/kernels.h view kernels.
   kFast = 1,       // AVX2/FMA cache-tiled; epsilon-bounded.
 };
 
@@ -313,16 +262,13 @@ constexpr double MatMulFlops(int64_t m, int64_t k, int64_t n) {
 }
 
 // ---------------------------------------------------------------------
-// Kernels. In the reference tier each mirrors the arithmetic of its
-// mat/kernels.cc namesake; MatMulInto / AddBiasInPlace / ReluInPlace /
-// SigmoidSpanInto dispatch through the active tier table.
+// Tier-dispatched kernels. The scalar view kernels (CopyInto, MulInto,
+// SoftmaxRowsInto, MatMulViewInto, ...) live in mat/kernels.h and run
+// the same code at every tier.
 // ---------------------------------------------------------------------
 
-/// out = src (element copy).
-void CopyInto(const ConstMatView& src, MatView out);
-
-/// out = a[m,k] * w[k,n]. Zeroes `out`, then accumulates in the ikj
-/// order of kernels.cc MatMul (including its skip of zero a elements).
+/// out = a[m,k] * w[k,n]; the reference tier is MatMulViewInto (MatMul's
+/// loop).
 void MatMulInto(const ConstMatView& a, const Matrix& w, MatView out);
 
 /// a[m,n] += bias[1,n] broadcast over rows (AddRowBroadcast, in place).
@@ -331,78 +277,18 @@ void AddBiasInPlace(MatView a, const Matrix& bias);
 /// a = max(a, 0) elementwise.
 void ReluInPlace(MatView a);
 
-/// out = a * b elementwise (same shape).
-void MulInto(const ConstMatView& a, const ConstMatView& b, MatView out);
-
-/// out[B, 3d] = [a | b | a*b] — the "product path" input layout shared
-/// by the activation unit (Fig. 4a) and the gate unit (Fig. 4c). One
-/// definition so the layout cannot drift between the two.
-void ConcatInteractionInto(const ConstMatView& a, const ConstMatView& b,
-                           MatView out);
-
-/// a += b elementwise (same shape).
-void AddInPlace(MatView a, const ConstMatView& b);
-
-/// out[r][c] = a[r][c] * w[r][0] (MulColBroadcast).
-void MulColBroadcastInto(const ConstMatView& a, const ConstMatView& w,
-                         MatView out);
-
-/// out[r][0] = dot(a.row(r), b.row(r)) (DotRows).
-void DotRowsInto(const ConstMatView& a, const ConstMatView& b, MatView out);
-
-/// Row-wise softmax in place (max-subtracted, same order as
-/// SoftmaxRows).
-void SoftmaxRowsInPlace(MatView a);
-
-/// out = a[m,k] * b[k,n] over views. Scalar-only (NOT tier-dispatched):
-/// zeroes `out`, then accumulates in the exact ikj order of kernels.cc
-/// MatMul, including its skip of zero `a` elements — the attention
-/// probs * V product of the listwise reranker, whose bitwise contract
-/// against the graph path holds at every tier because the slate core
-/// always runs these scalar kernels.
-void MatMulViewInto(const ConstMatView& a, const ConstMatView& b,
-                    MatView out);
-
-/// out = a[m,k] * b[n,k]^T over views (Q K^T). Scalar-only, mirroring
-/// kernels.cc MatMulTransB's i/j/p dot-product order bitwise.
-void MatMulNTViewInto(const ConstMatView& a, const ConstMatView& b,
-                      MatView out);
-
-/// a *= s elementwise (same per-element arithmetic as MulScalar).
-void ScaleInPlace(MatView a, float s);
-
-/// Multiplies each row by its top-k mask: entries among the k largest
-/// (ties broken by lower column index, matching TopKMaskRows) are
-/// multiplied by 1, the rest by 0 — a multiply, not an assignment, so
-/// signed zeros match MulMask(g, TopKMaskRows(g, k)) bitwise. Uses one
-/// arena scratch row for the per-row decisions.
+/// Multiplies each row by its top-k mask (TopKMaskRowsInto, the rule
+/// TopKMaskRows uses): a multiply, not an assignment, so signed zeros
+/// match MulMask(g, TopKMaskRows(g, k)) bitwise. The mask lives in
+/// arena scratch.
 void TopKMulInPlace(MatView a, int64_t k, InferenceArena* arena);
-
-/// out.row(i) = table.row(ids[i * id_stride]); the stride lets callers
-/// gather one sequence position directly from the Batch's row-major
-/// [size * seq_len] id layout without building an index vector.
-void GatherRowsInto(const Matrix& table, const int64_t* ids, int64_t count,
-                    int64_t id_stride, MatView out);
 
 /// out[i] = sigmoid(x[i]) over contiguous spans (in-place allowed when
 /// out.data() == x.data()). Dispatches through the active tier: the
-/// reference tier applies StableSigmoid per element (bitwise equal to
-/// Sigmoid(Matrix)); the fast tier runs a vectorised exp polynomial
-/// whose per-element result is independent of the element's position
-/// in the span.
+/// reference tier is SigmoidInto (Sigmoid(Matrix)'s loop); the fast
+/// tier runs a vectorised exp polynomial whose per-element result is
+/// independent of the element's position in the span.
 void SigmoidSpanInto(std::span<const float> x, std::span<float> out);
-
-/// The Sigmoid kernel's per-element form (sign-split for stability),
-/// exposed so the serving engine converts ScoreInto logits to
-/// probabilities with arithmetic identical to Sigmoid(Matrix).
-inline float StableSigmoid(float x) {
-  if (x >= 0.0f) {
-    float z = std::exp(-x);
-    return 1.0f / (1.0f + z);
-  }
-  float z = std::exp(x);
-  return z / (1.0f + z);
-}
 
 }  // namespace awmoe
 

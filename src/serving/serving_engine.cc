@@ -105,14 +105,35 @@ namespace {
 // the pinned-snapshot backstop: bad input becomes a per-request status
 // and never reaches a forward whose CHECKs would abort the process.
 // `snapshot` is null when the model name did not resolve.
-Status AdmitRequest(const RankRequest& request,
-                    const ModelSnapshot* snapshot) {
+Status AdmitRequest(const RankRequest& request, const ModelSnapshot* snapshot,
+                    const DatasetMeta& meta) {
   if (snapshot == nullptr) {
     return Status::NotFound("unknown model '" + request.model + "'");
   }
   if (request.items.empty()) {
     return Status::InvalidArgument("empty candidate list for session " +
                                    std::to_string(request.session_id));
+  }
+  // Feature widths CollateBatch and Standardizer::Transform rely on.
+  for (size_t i = 0; i < request.items.size(); ++i) {
+    const Example& item = *request.items[i];
+    const size_t history = item.behavior_items.size();
+    const char* bad = nullptr;
+    if (static_cast<int64_t>(item.numeric.size()) != meta.numeric_dim) {
+      bad = "numeric width is not the dataset's numeric_dim";
+    } else if (!item.behavior_attrs.empty() &&
+               item.behavior_attrs.size() !=
+                   history * static_cast<size_t>(Example::kItemAttrs)) {
+      bad = "behavior_attrs is not kItemAttrs values per behaviour";
+    } else if (item.behavior_cats.size() < history ||
+               item.behavior_brands.size() < history) {
+      bad = "behavior_cats/behavior_brands shorter than behavior_items";
+    }
+    if (bad != nullptr) {
+      return Status::InvalidArgument(
+          "candidate " + std::to_string(i) + " of session " +
+          std::to_string(request.session_id) + ": " + bad);
+    }
   }
   const int64_t max_slate = snapshot->max_slate_items();
   if (max_slate > 0 &&
@@ -191,12 +212,13 @@ struct MissBatch {
 // between then and this pin still lands here.
 std::vector<MicroRequest> AdmitMicroBatch(
     const std::vector<size_t>& request_indices,
-    const std::vector<RankRequest>& requests, const ModelSnapshot& snapshot) {
+    const std::vector<RankRequest>& requests, const ModelSnapshot& snapshot,
+    const DatasetMeta& meta) {
   std::vector<MicroRequest> batch(request_indices.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     batch[i].index = request_indices[i];
     batch[i].request = &requests[batch[i].index];
-    batch[i].admission = AdmitRequest(*batch[i].request, &snapshot);
+    batch[i].admission = AdmitRequest(*batch[i].request, &snapshot, meta);
   }
   return batch;
 }
@@ -467,7 +489,8 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
       pool_->SnapshotForArm(micro.model, micro.arm, &granted);
   const ModelSnapshot& snapshot = *snapshot_ptr;
   std::vector<MicroRequest> batch =
-      AdmitMicroBatch(micro.request_indices, requests, snapshot);
+      AdmitMicroBatch(micro.request_indices, requests, snapshot,
+                      pool_->meta());
 
   // A slate-scoring model ranks each request's rows JOINTLY: a cached
   // score was computed against one particular slate, and serving it to
@@ -605,7 +628,7 @@ std::vector<RankResponse> ServingEngine::RankBatch(
     }
     const ModelSnapshot* snapshot =
         route == nullptr ? nullptr : route->snapshot.get();
-    Status admitted = AdmitRequest(requests[i], snapshot);
+    Status admitted = AdmitRequest(requests[i], snapshot, pool_->meta());
     if (!admitted.ok()) {
       responses[i] =
           AdmissionResponse(requests[i], std::move(admitted), snapshot);
@@ -653,7 +676,7 @@ std::future<RankResponse> ServingEngine::Submit(RankRequest request) {
     arm = RouteArm(*resolved, request);
     snapshot = pool_->SnapshotForArm(*resolved, arm, nullptr);
   }
-  Status admitted = AdmitRequest(request, snapshot.get());
+  Status admitted = AdmitRequest(request, snapshot.get(), pool_->meta());
   if (!admitted.ok()) {
     return ReadyFuture(
         AdmissionResponse(request, std::move(admitted), snapshot.get()));

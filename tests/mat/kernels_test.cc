@@ -1,6 +1,7 @@
 #include "mat/kernels.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,12 @@ Matrix RandomMatrix(int64_t rows, int64_t cols, Rng* rng) {
     m.data()[i] = static_cast<float>(rng->Normal());
   }
   return m;
+}
+
+// Bit-for-bit equality (AllClose with tol 0 would equate -0.0f and 0.0f).
+void ExpectSameBits(const Matrix& a, const Matrix& b) {
+  ASSERT_TRUE(a.SameShape(b)) << a.ShapeString() << " vs " << b.ShapeString();
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), sizeof(float) * a.size()), 0);
 }
 
 TEST(KernelsTest, MatMulSmallKnown) {
@@ -67,6 +74,13 @@ TEST(KernelsTest, ElementwiseOps) {
   EXPECT_TRUE(AllClose(Div(a, b),
                        Matrix::FromVector(1, 4, {0.25f, 2.0f / 3, 1.5f, 4}),
                        1e-6f));
+  // MulInto with out == a gives Mul's bits.
+  Rng rng(5);
+  Matrix x = RandomMatrix(3, 5, &rng);
+  Matrix y = RandomMatrix(3, 5, &rng);
+  Matrix product = x;
+  MulInto(MatrixView(product), MatrixView(y), MutableView(&product));
+  ExpectSameBits(product, Mul(x, y));
 }
 
 TEST(KernelsTest, InPlaceOps) {
@@ -93,6 +107,11 @@ TEST(KernelsTest, ReluAndBackward) {
   Matrix g = Matrix::Full(1, 4, 1.0f);
   EXPECT_TRUE(AllClose(ReluBackward(g, a),
                        Matrix::FromVector(1, 4, {0, 0, 1, 0}), 0.0f));
+  // In place (out == in) gives the out-of-place bits, -0.0f included.
+  Matrix b = Matrix::FromVector(1, 5, {-1, -0.0f, 0, 2, -3});
+  Matrix in_place = b;
+  ReluInto(MatrixView(in_place), MutableView(&in_place));
+  ExpectSameBits(in_place, Relu(b));
 }
 
 TEST(KernelsTest, SigmoidValuesAndStability) {
@@ -103,6 +122,9 @@ TEST(KernelsTest, SigmoidValuesAndStability) {
   EXPECT_NEAR(s(0, 2), 0.0f, 1e-6f);
   EXPECT_TRUE(std::isfinite(s(0, 1)));
   EXPECT_TRUE(std::isfinite(s(0, 2)));
+  Matrix in_place = a;
+  SigmoidInto(in_place.data(), in_place.data(), in_place.size());
+  ExpectSameBits(in_place, s);
 }
 
 TEST(KernelsTest, ExpLogRoundTrip) {
@@ -128,6 +150,10 @@ TEST(KernelsTest, AddRowBroadcast) {
   Matrix b = Matrix::RowVector({10, 20});
   Matrix c = AddRowBroadcast(a, b);
   EXPECT_TRUE(AllClose(c, Matrix::FromVector(2, 2, {11, 22, 13, 24}), 0.0f));
+  Matrix in_place = a;
+  AddRowBroadcastInto(MatrixView(in_place), MatrixView(b),
+                      MutableView(&in_place));
+  ExpectSameBits(in_place, c);
 }
 
 TEST(KernelsTest, MulColBroadcast) {
@@ -135,6 +161,10 @@ TEST(KernelsTest, MulColBroadcast) {
   Matrix w = Matrix::ColVector({3, 0.5f});
   Matrix c = MulColBroadcast(a, w);
   EXPECT_TRUE(AllClose(c, Matrix::FromVector(2, 3, {3, 3, 3, 1, 1, 1}), 0.0f));
+  Matrix in_place = a;
+  MulColBroadcastInto(MatrixView(in_place), MatrixView(w),
+                      MutableView(&in_place));
+  ExpectSameBits(in_place, c);
 }
 
 TEST(KernelsTest, MulRowBroadcast) {
@@ -185,6 +215,9 @@ TEST(KernelsTest, SoftmaxRowsSumToOne) {
     }
     EXPECT_NEAR(total, 1.0f, 1e-5f);
   }
+  Matrix in_place = a;
+  SoftmaxRowsInto(MatrixView(in_place), MutableView(&in_place));
+  ExpectSameBits(in_place, s);
 }
 
 TEST(KernelsTest, SoftmaxShiftInvariant) {
@@ -244,6 +277,14 @@ TEST(KernelsTest, TopKMaskSelectsLargest) {
   Matrix mask = TopKMaskRows(a, 2);
   EXPECT_TRUE(AllClose(mask, Matrix::FromVector(2, 4, {0, 1, 1, 0,
                                                        1, 1, 0, 0}), 0.0f));
+  // Ties: among equal values the lower column index wins.
+  Matrix ties = Matrix::FromVector(3, 4, {0.5f, 0.5f, 0.5f, 0.1f,
+                                          0.2f, 0.7f, 0.7f, 0.7f,
+                                          0.9f, 0.3f, 0.9f, 0.9f});
+  EXPECT_TRUE(AllClose(TopKMaskRows(ties, 2),
+                       Matrix::FromVector(3, 4, {1, 1, 0, 0,
+                                                 0, 1, 1, 0,
+                                                 1, 0, 1, 0}), 0.0f));
 }
 
 TEST(KernelsTest, TopKMaskFullKeepsAll) {

@@ -5,10 +5,7 @@
 // session gate. This is the property that makes the serving hot path
 // safe from allocator contention and fragmentation under load.
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,73 +15,11 @@
 #include "models/category_moe.h"
 #include "models/dnn_ranker.h"
 #include "nn/inference.h"
+#include "support/alloc_counter.h"
 #include "util/rng.h"
-
-namespace {
-
-// ---------------------------------------------------------------------
-// Operator-new interposer. Counts every allocation made while a
-// CountingScope is active (single-threaded test; the atomics are only
-// there so the counting itself never introduces UB).
-// ---------------------------------------------------------------------
-
-std::atomic<bool> g_counting{false};
-std::atomic<int64_t> g_alloc_count{0};
-
-void* CountedAlloc(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  void* p = CountedAlloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size) {
-  void* p = CountedAlloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace awmoe {
 namespace {
-
-class CountingScope {
- public:
-  CountingScope() {
-    g_alloc_count.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-  }
-  ~CountingScope() { g_counting.store(false, std::memory_order_relaxed); }
-  int64_t count() const {
-    return g_alloc_count.load(std::memory_order_relaxed);
-  }
-};
 
 DatasetMeta TestMeta(bool recommendation) {
   DatasetMeta meta;

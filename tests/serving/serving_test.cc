@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/aw_moe.h"
@@ -297,7 +298,7 @@ TEST_F(ServingTest, WorkerPoolDoesNotChangeScores) {
   for (size_t s = 0; s < sessions.size(); ++s) {
     RankRequest request;
     request.session_id = sessions[s][0]->session_id;
-    request.model = (s % 2 == 0) ? "a" : "b";
+    request.model = std::string(1, s % 2 == 0 ? 'a' : 'b');
     request.items = sessions[s];
     requests.push_back(std::move(request));
   }
@@ -1314,6 +1315,66 @@ TEST_F(ServingTest, UnknownModelNotFoundOnBothFrontsWithoutHealthSample) {
   ASSERT_EQ(snap.version_health.size(), 1u);
   EXPECT_EQ(snap.version_health[0].model, "aw-moe");
   EXPECT_EQ(snap.version_health[0].requests, 2);
+  EXPECT_EQ(snap.version_health[0].errors, 0);
+}
+
+TEST_F(ServingTest, MalformedFeatureWidthsRejectedPerRequest) {
+  std::vector<RankRequest> good =
+      MakeSessionRequests(GroupBySession(data_->full_test));
+  good.resize(2);
+  auto solo_owner = MakeRegistry();
+  const std::vector<std::vector<double>> expected =
+      SoloScores(solo_owner.get(), good);
+
+  const Example* base = nullptr;
+  for (const Example& ex : data_->full_test) {
+    if (!ex.behavior_items.empty()) {
+      base = &ex;
+      break;
+    }
+  }
+  ASSERT_NE(base, nullptr);
+  // One bad field per copy. A fresh empty vector owns no storage, so an
+  // unchecked read of it faults instead of reading spare capacity.
+  std::vector<Example> bad(4, *base);
+  bad[0].numeric.push_back(0.0f);
+  bad[1].behavior_attrs.assign(
+      base->behavior_items.size() * Example::kItemAttrs + 1, 0.0f);
+  bad[2].behavior_cats = std::vector<int64_t>();
+  bad[3].behavior_brands = std::vector<int64_t>();
+
+  auto registry_owner = MakeRegistry();
+  ServingEngine engine(registry_owner.get());
+  for (size_t b = 0; b < bad.size(); ++b) {
+    // A well-formed candidate first: the whole request is rejected.
+    RankRequest malformed = good[0];
+    malformed.session_id = 9000 + static_cast<int64_t>(b);
+    malformed.items = {good[0].items[0], &bad[b]};
+    const std::vector<RankResponse> responses =
+        engine.RankBatch({good[0], malformed, good[1]});
+    ASSERT_EQ(responses.size(), 3u);
+    const RankResponse& rejected = responses[1];
+    EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument)
+        << "case " << b << ": " << rejected.status;
+    EXPECT_TRUE(rejected.scores.empty());
+    EXPECT_EQ(rejected.replica, -1);
+    for (size_t g = 0; g < good.size(); ++g) {
+      const RankResponse& response = responses[2 * g];
+      ASSERT_TRUE(response.status.ok()) << response.status;
+      ASSERT_EQ(response.scores.size(), expected[g].size());
+      for (size_t i = 0; i < expected[g].size(); ++i) {
+        EXPECT_EQ(response.scores[i], expected[g][i])
+            << "case " << b << " request " << g;
+      }
+    }
+    EXPECT_EQ(engine.Submit(malformed).get().status, rejected.status);
+  }
+
+  const ServingStatsSnapshot snap = engine.Stats();
+  const int64_t served = 2 * static_cast<int64_t>(bad.size());
+  EXPECT_EQ(snap.requests, served);
+  ASSERT_EQ(snap.version_health.size(), 1u);
+  EXPECT_EQ(snap.version_health[0].requests, served);
   EXPECT_EQ(snap.version_health[0].errors, 0);
 }
 
