@@ -183,12 +183,13 @@ int Run(int argc, char** argv) {
   // per-session cost should be at or below the full split's; what the
   // table makes visible is whether the tail percentiles stay bounded on
   // every segment (the paper's ~20 ms production budget).
+  const ServingStatsSnapshot last = engine.Stats();
   std::printf(
       "[longtail-serving] gate sharing %s, %d replica lane(s); last "
       "segment: %lld leases, max active lanes %lld\n",
       engine.GateSharingActive() ? "ON" : "OFF", pool.replicas(),
-      static_cast<long long>(engine.stats().snapshot_leases()),
-      static_cast<long long>(engine.stats().max_active_lanes()));
+      static_cast<long long>(last.snapshot_leases),
+      static_cast<long long>(last.max_active_lanes));
   return 0;
 }
 

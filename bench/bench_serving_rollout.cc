@@ -92,7 +92,7 @@ void RankLoop(ServingEngine* engine, RolloutFixture& fixture,
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["p99_ms"] = engine->stats().LatencyPercentileMs(99.0);
+  state.counters["p99_ms"] = engine->Stats().p99_ms;
 }
 
 /// Baseline: a candidate is staged but NO route is configured — the
@@ -136,7 +136,7 @@ void BM_RolloutRank_Split500(benchmark::State& state) {
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["p99_ms"] = engine.stats().LatencyPercentileMs(99.0);
+  state.counters["p99_ms"] = engine.Stats().p99_ms;
   state.counters["candidate_share"] =
       state.iterations() == 0
           ? 0.0

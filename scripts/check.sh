@@ -71,15 +71,18 @@ if [ "$TSAN" = 1 ]; then
   # The threaded subsystem lives in src/serving/; its suites (async
   # queue, worker pool, model pool hot swaps, rollout ramps/storms,
   # stats contention) are where TSan has signal.
+  # core_parallel_trainer rides along: ParallelTrainer's worker pool
+  # (one mutex, two condition variables, an atomic shard cursor) runs
+  # under TSan directly, not only through the retrain-driver suite.
   # models_kernel_tier rides along: its row-parallel matmul tests are
   # the only place the kernel worker pool runs under TSan.
   # models_listwise rides along too: ParallelTrainer workers share the
   # listwise graph ops, and serving_slate_serving (matched by the
   # serving_ prefix) storms the slate path from four threads.
-  echo "== ctest (serving + kernel-tier + listwise suites under TSan) =="
+  echo "== ctest (serving + parallel-trainer + kernel-tier + listwise suites under TSan) =="
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R "^(serving_|models_kernel_tier|models_listwise)"
+    -R "^(serving_|core_parallel_trainer|models_kernel_tier|models_listwise)"
 
   echo "== check.sh --tsan OK =="
   exit 0

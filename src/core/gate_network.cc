@@ -213,7 +213,7 @@ void GateNetwork::InferInto(const Batch& batch, InferenceArena* arena,
       } else {
         MatView contribution = arena->Alloc(b, k);
         MulColBroadcastInto(a_j, weights, contribution);
-        AddInPlace(out, contribution);
+        AddInto(out, contribution, out);
       }
       arena->Rewind(mark);
     }
@@ -240,7 +240,7 @@ void GateNetwork::InferInto(const Batch& batch, InferenceArena* arena,
       } else {
         MatView contribution = arena->Alloc(b, h);
         MulColBroadcastInto(h_bj, weights, contribution);
-        AddInPlace(pooled, contribution);
+        AddInto(pooled, contribution, pooled);
       }
       arena->Rewind(mark);
     }

@@ -111,13 +111,20 @@ Matrix Transpose(const Matrix& a) {
   return out;
 }
 
+void AddInto(const ConstMatView& a, const ConstMatView& b, MatView out) {
+  CheckSameShapeView(a, b, "Add");
+  CheckSameShapeView(a, out, "Add(out)");
+  for (int64_t r = 0; r < a.rows; ++r) {
+    const float* pa = a.row(r);
+    const float* pb = b.row(r);
+    float* po = out.row(r);
+    for (int64_t c = 0; c < a.cols; ++c) po[c] = pa[c] + pb[c];
+  }
+}
+
 Matrix Add(const Matrix& a, const Matrix& b) {
-  CheckSameShape(a, b, "Add");
   Matrix out(a.rows(), a.cols());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < a.size(); ++i) po[i] = pa[i] + pb[i];
+  AddInto(MatrixView(a), MatrixView(b), MutableView(&out));
   return out;
 }
 
@@ -158,17 +165,8 @@ Matrix Div(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-void AddInPlace(MatView a, const ConstMatView& b) {
-  CheckSameShapeView(a, b, "AddInPlace");
-  for (int64_t r = 0; r < a.rows; ++r) {
-    float* pa = a.row(r);
-    const float* pb = b.row(r);
-    for (int64_t c = 0; c < a.cols; ++c) pa[c] = pa[c] + pb[c];
-  }
-}
-
 void AddInPlace(Matrix* a, const Matrix& b) {
-  AddInPlace(MutableView(a), MatrixView(b));
+  AddInto(MatrixView(*a), MatrixView(b), MutableView(a));
 }
 
 void AxpyInPlace(Matrix* a, float alpha, const Matrix& b) {
@@ -178,21 +176,27 @@ void AxpyInPlace(Matrix* a, float alpha, const Matrix& b) {
   for (int64_t i = 0; i < a->size(); ++i) pa[i] += alpha * pb[i];
 }
 
-void ScaleInPlace(MatView a, float s) {
+void MulScalarInto(const ConstMatView& a, float s, MatView out) {
+  CheckSameShapeView(a, out, "MulScalar");
   for (int64_t r = 0; r < a.rows; ++r) {
-    float* arow = a.row(r);
-    for (int64_t c = 0; c < a.cols; ++c) arow[c] = arow[c] * s;
+    const float* pa = a.row(r);
+    float* po = out.row(r);
+    for (int64_t c = 0; c < a.cols; ++c) po[c] = pa[c] * s;
   }
 }
 
-void ScaleInPlace(Matrix* a, float s) { ScaleInPlace(MutableView(a), s); }
+void ScaleInPlace(Matrix* a, float s) {
+  MulScalarInto(MatrixView(*a), s, MutableView(a));
+}
 
 Matrix AddScalar(const Matrix& a, float s) {
   return ElementwiseUnary(a, [s](float x) { return x + s; });
 }
 
 Matrix MulScalar(const Matrix& a, float s) {
-  return ElementwiseUnary(a, [s](float x) { return x * s; });
+  Matrix out(a.rows(), a.cols());
+  MulScalarInto(MatrixView(a), s, MutableView(&out));
+  return out;
 }
 
 void ReluInto(const ConstMatView& a, MatView out) {

@@ -201,8 +201,11 @@ void SigmoidInto(const float* x, float* out, int64_t n);
 /// out = a * b elementwise (Mul). Aliasing allowed.
 void MulInto(const ConstMatView& a, const ConstMatView& b, MatView out);
 
-/// a += b elementwise (same shape).
-void AddInPlace(MatView a, const ConstMatView& b);
+/// out = a + b elementwise (Add, AddInPlace). Aliasing allowed.
+void AddInto(const ConstMatView& a, const ConstMatView& b, MatView out);
+
+/// out = a * s elementwise (MulScalar, ScaleInPlace). Aliasing allowed.
+void MulScalarInto(const ConstMatView& a, float s, MatView out);
 
 /// out[r][c] = a[r][c] * w[r][0] (MulColBroadcast). Aliasing of a allowed.
 void MulColBroadcastInto(const ConstMatView& a, const ConstMatView& w,
@@ -219,9 +222,6 @@ void SoftmaxRowsInto(const ConstMatView& a, MatView out);
 /// [size * seq_len] id layout without building an index vector.
 void GatherRowsInto(const Matrix& table, const int64_t* ids, int64_t count,
                     int64_t id_stride, MatView out);
-
-/// a *= s elementwise.
-void ScaleInPlace(MatView a, float s);
 
 /// The one top-k selection rule: mask(r,c) = 1.0 when fewer than k
 /// entries of row r rank strictly ahead of a(r,c) under (value desc,

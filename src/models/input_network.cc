@@ -148,7 +148,7 @@ void InputNetwork::EncodeSessionInto(const Batch& batch,
       } else {
         MatView contribution = arena->Alloc(b, h);
         MulColBroadcastInto(h_bj, mask_j, contribution);
-        AddInPlace(v_user, contribution);
+        AddInto(v_user, contribution, v_user);
       }
       arena->Rewind(mark);
     }
@@ -253,7 +253,7 @@ void InputNetwork::InferCore(const Batch& batch, const ConstMatView* encoding,
       } else {
         MatView contribution = arena->Alloc(b, h);
         MulColBroadcastInto(h_bj, weights, contribution);
-        AddInPlace(v_user, contribution);
+        AddInto(v_user, contribution, v_user);
       }
       arena->Rewind(mark);
     }

@@ -159,8 +159,8 @@ void ListwiseReranker::ScoreSlateInto(const Batch& batch,
   for (size_t s = 0; s < slate_starts.size(); ++s) {
     const int64_t begin = slate_starts[s];
     const int64_t len = SlateEnd(slate_starts, s, B) - begin;
-    AddInPlace(MatView{x.row(begin), len, d, x.stride},
-               ConstMatView(pos.data(), len, d, pos.cols()));
+    const MatView block{x.row(begin), len, d, x.stride};
+    AddInto(block, ConstMatView(pos.data(), len, d, pos.cols()), block);
   }
 
   for (const EncoderLayer& layer : layers_) {
@@ -184,7 +184,7 @@ void ListwiseReranker::ScoreSlateInto(const Batch& batch,
         const ConstMatView kb(k.row(begin) + h * dh, len, dh, k.stride);
         const ConstMatView vb(v.row(begin) + h * dh, len, dh, v.stride);
         MatMulNTViewInto(qb, kb, scores);
-        ScaleInPlace(scores, inv_sqrt);
+        MulScalarInto(scores, inv_sqrt, scores);
         SoftmaxRowsInto(scores, scores);
         MatMulViewInto(scores, vb,
                        MatView{ctx.row(begin) + h * dh, len, dh, ctx.stride});
@@ -193,11 +193,11 @@ void ListwiseReranker::ScoreSlateInto(const Batch& batch,
     }
     MatView attn = arena->Alloc(B, d);
     layer.wo.InferInto(ctx, attn);
-    AddInPlace(attn, x);  // Residual: attn + x, operand order as the graph.
+    AddInto(attn, x, attn);  // Residual: attn + x, as the graph.
     x = attn;
     MatView ffn_out = arena->Alloc(B, d);
     layer.ffn.InferInto(x, arena, ffn_out);
-    AddInPlace(ffn_out, x);
+    AddInto(ffn_out, x, ffn_out);
     x = ffn_out;
   }
   head_.InferInto(x, arena, MatView{out.data(), B, 1, 1});

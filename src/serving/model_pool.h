@@ -17,6 +17,7 @@
 #include "data/example.h"
 #include "nn/inference.h"
 #include "serving/request.h"
+#include "serving/serving_stats.h"  // CacheLookup.
 
 namespace awmoe {
 
@@ -49,16 +50,6 @@ uint64_t SessionHistoryHash(const Example& ex);
 /// — the property that lets the score cache verify per-element hashes
 /// on lookup and makes set-hash collisions harmless.
 uint64_t CandidateScoreHash(const Example& ex);
-
-/// Outcome of a session-cache lookup, for per-level hit/miss/
-/// invalidation counters: kStale means the entry existed but its
-/// validity stamp no longer matched (history moved on) and was evicted.
-/// The values are RequestSample's lookup encoding (serving_stats.h).
-enum class CacheLookup {
-  kMiss = 0,
-  kHit = 1,
-  kStale = 2,
-};
 
 /// Per-session row LRU (§III-F gate rows across requests; since the
 /// session feature store, also the candidate-independent behaviour-

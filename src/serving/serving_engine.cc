@@ -171,7 +171,7 @@ struct MicroRequest {
   const RankRequest* request = nullptr;
   size_t index = 0;  // Into the caller's requests and responses.
   Status admission;  // Non-OK: rejected at the pinned-snapshot backstop.
-  int score_lookup = -1;  // -1 or a CacheLookup value.
+  CacheLookup score_lookup = CacheLookup::kNone;
   // GateContextHash of the first item: the stamp of both session-row
   // caches (the encoding reads a subset of the gate's inputs).
   uint64_t context_hash = 0;
@@ -183,7 +183,8 @@ struct MicroRequest {
 
 // Where one miss request's row of a session-row kind comes from.
 struct RowSource {
-  int lookup = 0;          // A CacheLookup value: RequestSample encoding.
+  // kMiss while the kind's cache is off: every request probes.
+  CacheLookup lookup = CacheLookup::kMiss;
   int64_t probe_row = -1;  // Row of this micro-batch's probe; -1: `cached`.
   std::vector<float> cached;
 };
@@ -238,9 +239,9 @@ void LookupScores(SessionScoreCache& cache, std::span<MicroRequest> batch) {
       entry.set_hash = SetHashAdd(entry.set_hash, entry.item_hashes.back());
     }
     entry.hit_scores.resize(request.items.size());
-    entry.score_lookup = static_cast<int>(
+    entry.score_lookup =
         cache.Lookup(request.session_id, entry.set_hash, entry.history_hash,
-                     entry.item_hashes, entry.hit_scores));
+                     entry.item_hashes, entry.hit_scores);
   }
 }
 
@@ -251,7 +252,7 @@ MissBatch CollectMisses(std::span<MicroRequest> batch, bool stamp) {
   MissBatch misses;
   misses.micro.reserve(batch.size());
   for (MicroRequest& entry : batch) {
-    if (entry.admission.ok() && entry.score_lookup != 1) {
+    if (entry.admission.ok() && entry.score_lookup != CacheLookup::kHit) {
       misses.micro.push_back(&entry);
     }
   }
@@ -284,10 +285,8 @@ SessionRows PlanSessionRows(const SessionRowKind& kind,
                             misses.micro[k]->context_hash};
     RowSource& source = rows.source[k];
     if (kind.capacity > 0) {
-      const CacheLookup outcome =
-          kind.cache->Lookup(key.first, key.second, &source.cached);
-      source.lookup = static_cast<int>(outcome);
-      if (outcome == CacheLookup::kHit) continue;
+      source.lookup = kind.cache->Lookup(key.first, key.second, &source.cached);
+      if (source.lookup == CacheLookup::kHit) continue;
     }
     pending.emplace_back(key, k);
   }
@@ -417,9 +416,9 @@ void FillScoreCache(SessionScoreCache& cache, const MissBatch& misses,
   }
 }
 
-// Miss k's lookup outcome for one session-row kind; -1 when it is off.
-int LookupOf(const SessionRows& rows, size_t k) {
-  return rows.kind == nullptr ? -1 : rows.source[k].lookup;
+// Miss k's lookup outcome for one session-row kind; kNone when it is off.
+CacheLookup LookupOf(const SessionRows& rows, size_t k) {
+  return rows.kind == nullptr ? CacheLookup::kNone : rows.source[k].lookup;
 }
 
 // Respond stage: fills every response of the micro-batch and returns
@@ -440,7 +439,7 @@ std::vector<RequestSample> Respond(std::span<const MicroRequest> batch,
     RankResponse& response = (*responses)[entry.index];
     const double queue_ms =
         queue_delays_ms == nullptr ? 0.0 : (*queue_delays_ms)[entry.index];
-    const bool hit = entry.score_lookup == 1;
+    const bool hit = entry.score_lookup == CacheLookup::kHit;
     response = AdmissionResponse(request, entry.admission, &snapshot);
     response.arm = granted;
     response.latency_ms = service_ms + queue_ms;
@@ -457,14 +456,11 @@ std::vector<RequestSample> Respond(std::span<const MicroRequest> batch,
       response.scores.assign(entry.hit_scores.begin(), entry.hit_scores.end());
       continue;
     }
-    // A stale gate row is recorded as a plain gate miss; a stale
-    // encoding is an encoding invalidation.
-    const int gate_lookup = LookupOf(misses.gate, k);
-    sample.gate_lookup = gate_lookup == 2 ? 0 : gate_lookup;
+    sample.gate_lookup = LookupOf(misses.gate, k);
     sample.encoding_lookup = LookupOf(misses.encoding, k);
     response.gate_shared = misses.gate.kind != nullptr;
-    response.gate_cache_hit = sample.gate_lookup == 1;
-    response.encoding_cache_hit = sample.encoding_lookup == 1;
+    response.gate_cache_hit = sample.gate_lookup == CacheLookup::kHit;
+    response.encoding_cache_hit = sample.encoding_lookup == CacheLookup::kHit;
     const float* first = misses.scores.data() + misses.first_row[k++];
     response.scores.assign(first, first + request.items.size());
   }

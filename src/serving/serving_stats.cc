@@ -20,207 +20,226 @@ double NearestRank(const std::vector<double>& sorted, double pct) {
   return sorted[rank - 1];
 }
 
-/// Shared retention policy of the per-(model, version) maps (lease
-/// breakdown and health windows): after `inserted` was added, drop
-/// `model`'s oldest entries beyond `max_versions`. The map key orders
-/// one model's entries by ascending version, so trimming drops from the
-/// oldest end. Returns true when the just-inserted entry itself was the
-/// oldest and got dropped — the caller must not touch it then.
+/// num / den, or 0 when nothing was counted.
+double Ratio(double num, int64_t den) {
+  return den > 0 ? num / static_cast<double>(den) : 0.0;
+}
+
+/// Counts one lookup into a cache level's counters: a stale entry is a
+/// miss, and also an invalidation where the level counts those
+/// (`invalidations` non-null).
+void CountLookup(CacheLookup outcome, int64_t* hits, int64_t* misses,
+                 int64_t* invalidations) {
+  if (outcome == CacheLookup::kNone) return;
+  if (outcome == CacheLookup::kHit) {
+    ++*hits;
+    return;
+  }
+  ++*misses;
+  if (outcome == CacheLookup::kStale && invalidations != nullptr) {
+    ++*invalidations;
+  }
+}
+
+/// Folds `from` into `to`: each counter once, summed, or max-ed where
+/// it is a maximum or the shared wall-clock window.
+void AddCounters(const ServingCounters& from, ServingCounters* to) {
+  to->requests += from.requests;
+  to->items += from.items;
+  to->total_ms += from.total_ms;
+  to->batches += from.batches;
+  to->batch_requests_total += from.batch_requests_total;
+  to->batch_items_total += from.batch_items_total;
+  to->max_batch_requests =
+      std::max(to->max_batch_requests, from.max_batch_requests);
+  to->queued_requests += from.queued_requests;
+  to->queue_total_ms += from.queue_total_ms;
+  to->queue_max_ms = std::max(to->queue_max_ms, from.queue_max_ms);
+  to->gate_cache_hits += from.gate_cache_hits;
+  to->gate_cache_misses += from.gate_cache_misses;
+  to->score_cache_hits += from.score_cache_hits;
+  to->score_cache_misses += from.score_cache_misses;
+  to->score_cache_invalidations += from.score_cache_invalidations;
+  to->encoding_cache_hits += from.encoding_cache_hits;
+  to->encoding_cache_misses += from.encoding_cache_misses;
+  to->encoding_cache_invalidations += from.encoding_cache_invalidations;
+  to->score_cache_entries += from.score_cache_entries;
+  to->score_cache_bytes += from.score_cache_bytes;
+  to->encoding_cache_entries += from.encoding_cache_entries;
+  to->encoding_cache_bytes += from.encoding_cache_bytes;
+  to->gate_cache_entries += from.gate_cache_entries;
+  to->gate_cache_bytes += from.gate_cache_bytes;
+  to->slates += from.slates;
+  to->slate_items += from.slate_items;
+  to->slates_le10 += from.slates_le10;
+  to->slates_le25 += from.slates_le25;
+  to->slates_le50 += from.slates_le50;
+  to->slates_gt50 += from.slates_gt50;
+  to->snapshot_leases += from.snapshot_leases;
+  to->active_lanes_total += from.active_lanes_total;
+  to->max_active_lanes = std::max(to->max_active_lanes, from.max_active_lanes);
+  to->drift_sessions += from.drift_sessions;
+  to->drift_engaged += from.drift_engaged;
+  to->wall_seconds = std::max(to->wall_seconds, from.wall_seconds);
+}
+
+/// Finds-or-creates `(model, version)`'s entry in one of the
+/// per-version maps (lease breakdown, health windows), keeping only the
+/// model's newest kMaxVersionsPerModel entries; the key orders one
+/// model's entries by ascending version. Returns nullptr when the
+/// version is too old to track: a fresh insert below every retained
+/// version is itself what the trim drops (e.g. a straggler lease on a
+/// long-retired snapshot), and is not resurrected. Otherwise the
+/// pointer stays valid for the rest of the locked section (map nodes
+/// are stable).
 template <typename Map>
-bool TrimModelVersions(Map* map, const std::string& model,
-                       typename Map::iterator inserted, int max_versions) {
-  bool erased_inserted = false;
+typename Map::mapped_type* VersionEntry(Map* map, const std::string& model,
+                                        int64_t version) {
+  auto [it, inserted] = map->try_emplace({model, version});
+  if (!inserted) return &it->second;
   auto first = map->lower_bound({model, 0});
   int count = 0;
   for (auto walk = first; walk != map->end() && walk->first.first == model;
        ++walk) {
     ++count;
   }
-  while (count > max_versions && first != map->end() &&
-         first->first.first == model) {
-    if (first == inserted) erased_inserted = true;
+  bool erased_inserted = false;
+  for (; count > ServingStats::kMaxVersionsPerModel; --count) {
+    if (first == it) erased_inserted = true;
     first = map->erase(first);
-    --count;
   }
-  return erased_inserted;
+  return erased_inserted ? nullptr : &it->second;
 }
 
 }  // namespace
 
-void ServingStats::RecordRequest(int64_t items, double latency_ms) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordRequestLocked(items, latency_ms);
-}
-
-void ServingStats::RecordRequestLocked(int64_t items, double latency_ms) {
-  if (!wall_started_) {
-    // The clock starts when serving starts, not at construction; this
-    // is the first completion, so backdate by this request's latency to
-    // include its service time in the QPS window.
-    wall_.Restart();
-    wall_started_ = true;
-    wall_offset_s_ = latency_ms / 1e3;
-  }
-  ++requests_;
-  items_ += items;
-  total_ms_ += latency_ms;
-  if (static_cast<int64_t>(samples_ms_.size()) < kMaxSamples) {
-    samples_ms_.push_back(latency_ms);
+void ServingStats::LatencyReservoir::Append(double latency_ms, uint64_t* rng) {
+  ++count_;
+  if (static_cast<int64_t>(samples_.size()) < kMaxSamples) {
+    samples_.push_back(latency_ms);
     return;
   }
-  // Reservoir sampling (Algorithm R): keep each of the `requests_`
-  // samples with equal probability in O(kMaxSamples) memory.
-  reservoir_rng_ ^= reservoir_rng_ << 13;
-  reservoir_rng_ ^= reservoir_rng_ >> 7;
-  reservoir_rng_ ^= reservoir_rng_ << 17;
-  const uint64_t slot =
-      reservoir_rng_ % static_cast<uint64_t>(requests_);
+  // Algorithm R: keep each of the `count_` samples with equal
+  // probability in O(kMaxSamples) memory.
+  *rng ^= *rng << 13;
+  *rng ^= *rng >> 7;
+  *rng ^= *rng << 17;
+  const uint64_t slot = *rng % static_cast<uint64_t>(count_);
   if (slot < static_cast<uint64_t>(kMaxSamples)) {
-    samples_ms_[static_cast<size_t>(slot)] = latency_ms;
+    samples_[static_cast<size_t>(slot)] = latency_ms;
   }
 }
 
-void ServingStats::RecordBatch(int64_t batch_requests, int64_t batch_items) {
+void ServingStats::LatencyReservoir::Merge(const std::vector<double>& samples,
+                                           int64_t count) {
+  samples_.insert(samples_.end(), samples.begin(), samples.end());
+  count_ += count;
+}
+
+void ServingStats::RecordMicroBatch(
+    int64_t batch_items, const std::vector<RequestSample>& samples,
+    const LeaseSample* lease) {
   std::lock_guard<std::mutex> lock(mu_);
-  RecordBatchLocked(batch_requests, batch_items);
-}
-
-void ServingStats::RecordBatchLocked(int64_t batch_requests,
-                                     int64_t batch_items) {
-  ++batches_;
-  batch_requests_ += batch_requests;
-  batch_items_ += batch_items;
-  max_batch_requests_ = std::max(max_batch_requests_, batch_requests);
-}
-
-void ServingStats::RecordQueueDelay(double delay_ms) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordQueueDelayLocked(delay_ms);
-}
-
-void ServingStats::RecordQueueDelayLocked(double delay_ms) {
-  ++queued_requests_;
-  queue_total_ms_ += delay_ms;
-  queue_max_ms_ = std::max(queue_max_ms_, delay_ms);
-}
-
-void ServingStats::RecordGateLookup(bool hit) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordGateLookupLocked(hit);
-}
-
-void ServingStats::RecordGateLookupLocked(bool hit) {
-  if (hit) {
-    ++gate_cache_hits_;
-  } else {
-    ++gate_cache_misses_;
+  ServingCounters& c = state_.counters;
+  // A fully score-cache-served micro-batch leased no lane and ran no
+  // forward pass: the batch (occupancy) and lease counters would
+  // misreport it as compute.
+  const bool forward_ran = lease == nullptr || lease->lane_leased;
+  if (forward_ran) {
+    const int64_t batch_requests = static_cast<int64_t>(samples.size());
+    ++c.batches;
+    c.batch_requests_total += batch_requests;
+    c.batch_items_total += batch_items;
+    c.max_batch_requests = std::max(c.max_batch_requests, batch_requests);
   }
-}
-
-void ServingStats::RecordScoreLookup(int outcome) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordScoreLookupLocked(outcome);
-}
-
-void ServingStats::RecordScoreLookupLocked(int outcome) {
-  if (outcome == 1) {
-    ++score_cache_hits_;
-  } else {
-    ++score_cache_misses_;
-    if (outcome == 2) ++score_cache_invalidations_;
+  // One map probe for the whole micro-batch: every sample lands in the
+  // same (model, version) health window as the shared lease.
+  HealthWindow* health =
+      lease == nullptr
+          ? nullptr
+          : VersionEntry(&state_.version_health, lease->model, lease->version);
+  for (const RequestSample& sample : samples) {
+    if (!state_.wall_started) {
+      // The clock starts when serving starts, not at construction; this
+      // is the first completion, so backdate by its latency to include
+      // its service time in the QPS window.
+      wall_.Restart();
+      state_.wall_started = true;
+      state_.wall_offset_s = sample.latency_ms / 1e3;
+    }
+    ++c.requests;
+    c.items += sample.items;
+    c.total_ms += sample.latency_ms;
+    state_.requests.Append(sample.latency_ms, &reservoir_rng_);
+    if (sample.queue_ms >= 0.0) {
+      ++c.queued_requests;
+      c.queue_total_ms += sample.queue_ms;
+      c.queue_max_ms = std::max(c.queue_max_ms, sample.queue_ms);
+    }
+    CountLookup(sample.gate_lookup, &c.gate_cache_hits, &c.gate_cache_misses,
+                /*invalidations=*/nullptr);
+    CountLookup(sample.score_lookup, &c.score_cache_hits,
+                &c.score_cache_misses, &c.score_cache_invalidations);
+    if (sample.score_lookup != CacheLookup::kNone) {
+      LatencyReservoir& split = sample.score_lookup == CacheLookup::kHit
+                                    ? state_.score_hits
+                                    : state_.score_misses;
+      split.Append(sample.latency_ms, &reservoir_rng_);
+    }
+    CountLookup(sample.encoding_lookup, &c.encoding_cache_hits,
+                &c.encoding_cache_misses, &c.encoding_cache_invalidations);
+    if (health != nullptr) {
+      AppendHealthSample(health, sample.latency_ms, /*ok=*/true);
+    }
   }
-}
-
-void ServingStats::RecordEncodingLookup(int outcome) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordEncodingLookupLocked(outcome);
-}
-
-void ServingStats::RecordEncodingLookupLocked(int outcome) {
-  if (outcome == 1) {
-    ++encoding_cache_hits_;
-  } else {
-    ++encoding_cache_misses_;
-    if (outcome == 2) ++encoding_cache_invalidations_;
+  if (lease == nullptr || !lease->lane_leased) return;
+  ++c.snapshot_leases;
+  c.active_lanes_total += lease->active_lanes;
+  c.max_active_lanes =
+      std::max(c.max_active_lanes, static_cast<int64_t>(lease->active_lanes));
+  std::vector<int64_t>* lanes = VersionEntry(&state_.version_lane_leases,
+                                             lease->model, lease->version);
+  if (lanes == nullptr) return;  // Older than every retained version.
+  if (static_cast<int>(lanes->size()) < lease->num_replicas) {
+    lanes->resize(static_cast<size_t>(lease->num_replicas), 0);
   }
-}
-
-void ServingStats::AppendSplitSampleLocked(std::vector<double>* reservoir,
-                                           int64_t* count,
-                                           double latency_ms) {
-  ++*count;
-  if (static_cast<int64_t>(reservoir->size()) < kMaxSamples) {
-    reservoir->push_back(latency_ms);
-    return;
-  }
-  reservoir_rng_ ^= reservoir_rng_ << 13;
-  reservoir_rng_ ^= reservoir_rng_ >> 7;
-  reservoir_rng_ ^= reservoir_rng_ << 17;
-  const uint64_t slot = reservoir_rng_ % static_cast<uint64_t>(*count);
-  if (slot < static_cast<uint64_t>(kMaxSamples)) {
-    (*reservoir)[static_cast<size_t>(slot)] = latency_ms;
-  }
-}
-
-void ServingStats::RecordLease(const LeaseSample& lease) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordLeaseLocked(lease);
-}
-
-void ServingStats::RecordLeaseLocked(const LeaseSample& lease) {
-  ++snapshot_leases_;
-  active_lanes_total_ += lease.active_lanes;
-  max_active_lanes_ =
-      std::max(max_active_lanes_, static_cast<int64_t>(lease.active_lanes));
-  auto [it, inserted] =
-      version_lane_leases_.try_emplace({lease.model, lease.version});
-  if (inserted &&
-      TrimModelVersions(&version_lane_leases_, lease.model, it,
-                        kMaxVersionsPerModel)) {
-    // A lease on a version older than every retained one: refuse to
-    // resurrect its entry (mirrors the health-window policy).
-    return;
-  }
-  std::vector<int64_t>& lanes = it->second;
-  if (static_cast<int>(lanes.size()) < lease.num_replicas) {
-    lanes.resize(static_cast<size_t>(lease.num_replicas), 0);
-  }
-  ++lanes[static_cast<size_t>(lease.replica)];
+  ++(*lanes)[static_cast<size_t>(lease->replica)];
 }
 
 void ServingStats::RecordSlateBatch(std::span<const int64_t> slate_sizes,
                                     double rerank_ms) {
   std::lock_guard<std::mutex> lock(mu_);
+  ServingCounters& c = state_.counters;
   for (int64_t size : slate_sizes) {
-    ++slates_;
-    slate_items_ += size;
+    ++c.slates;
+    c.slate_items += size;
     if (size <= 10) {
-      ++slates_le10_;
+      ++c.slates_le10;
     } else if (size <= 25) {
-      ++slates_le25_;
+      ++c.slates_le25;
     } else if (size <= 50) {
-      ++slates_le50_;
+      ++c.slates_le50;
     } else {
-      ++slates_gt50_;
+      ++c.slates_gt50;
     }
   }
-  AppendSplitSampleLocked(&rerank_samples_ms_, &rerank_count_, rerank_ms);
+  state_.rerank.Append(rerank_ms, &reservoir_rng_);
 }
 
 void ServingStats::RecordVersionSample(const std::string& model,
                                        int64_t version, double latency_ms,
                                        bool ok) {
   std::lock_guard<std::mutex> lock(mu_);
-  HealthWindow* window = HealthWindowLocked(model, version);
-  if (window != nullptr) AppendHealthSampleLocked(window, latency_ms, ok);
+  HealthWindow* window = VersionEntry(&state_.version_health, model, version);
+  if (window != nullptr) AppendHealthSample(window, latency_ms, ok);
 }
 
 void ServingStats::RecordDriftSample(const std::string& model,
                                      int64_t version, bool engaged) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++drift_sessions_;
-  if (engaged) ++drift_engaged_;
-  HealthWindow* window = HealthWindowLocked(model, version);
+  ++state_.counters.drift_sessions;
+  if (engaged) ++state_.counters.drift_engaged;
+  HealthWindow* window = VersionEntry(&state_.version_health, model, version);
   if (window == nullptr) return;  // Older than every retained version.
   ++window->drift_sessions;
   if (engaged) ++window->drift_engaged;
@@ -229,37 +248,14 @@ void ServingStats::RecordDriftSample(const std::string& model,
 void ServingStats::ResetDriftCounters(const std::string& model,
                                       int64_t version) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = version_health_.find({model, version});
-  if (it == version_health_.end()) return;
+  auto it = state_.version_health.find({model, version});
+  if (it == state_.version_health.end()) return;
   it->second.drift_sessions = 0;
   it->second.drift_engaged = 0;
 }
 
-int64_t ServingStats::drift_sessions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return drift_sessions_;
-}
-
-int64_t ServingStats::drift_engaged() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return drift_engaged_;
-}
-
-ServingStats::HealthWindow* ServingStats::HealthWindowLocked(
-    const std::string& model, int64_t version) {
-  auto [it, inserted] = version_health_.try_emplace({model, version});
-  if (inserted &&
-      TrimModelVersions(&version_health_, model, it, kMaxVersionsPerModel)) {
-    // The trim dropped the entry just inserted (a version older than
-    // every retained one): the sample belongs to a window we refuse to
-    // resurrect — report that instead of handing out a freed node.
-    return nullptr;
-  }
-  return &it->second;
-}
-
-void ServingStats::AppendHealthSampleLocked(HealthWindow* window,
-                                            double latency_ms, bool ok) {
+void ServingStats::AppendHealthSample(HealthWindow* window, double latency_ms,
+                                      bool ok) {
   ++window->requests;
   if (!ok) {
     ++window->errors;
@@ -281,22 +277,16 @@ VersionHealthSnapshot ServingStats::HealthSnapshotOf(const std::string& model,
   snap.version = version;
   snap.requests = window.requests;
   snap.errors = window.errors;
-  if (window.requests > 0) {
-    snap.error_rate = static_cast<double>(window.errors) /
-                      static_cast<double>(window.requests);
-  }
+  snap.error_rate =
+      Ratio(static_cast<double>(window.errors), window.requests);
   snap.drift_sessions = window.drift_sessions;
   snap.drift_engaged = window.drift_engaged;
-  if (window.drift_sessions > 0) {
-    snap.drift_engaged_rate = static_cast<double>(window.drift_engaged) /
-                              static_cast<double>(window.drift_sessions);
-  }
+  snap.drift_engaged_rate =
+      Ratio(static_cast<double>(window.drift_engaged), window.drift_sessions);
   snap.window = static_cast<int64_t>(window.ring.size());
-  if (!window.ring.empty()) {
-    std::sort(window.ring.begin(), window.ring.end());
-    snap.p50_ms = NearestRank(window.ring, 50.0);
-    snap.p99_ms = NearestRank(window.ring, 99.0);
-  }
+  std::sort(window.ring.begin(), window.ring.end());
+  snap.p50_ms = NearestRank(window.ring, 50.0);
+  snap.p99_ms = NearestRank(window.ring, 99.0);
   return snap;
 }
 
@@ -305,234 +295,40 @@ VersionHealthSnapshot ServingStats::VersionHealth(const std::string& model,
   HealthWindow copy;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = version_health_.find({model, version});
-    if (it != version_health_.end()) copy = it->second;
+    auto it = state_.version_health.find({model, version});
+    if (it != state_.version_health.end()) copy = it->second;
   }
-  // Sort outside the lock (same pattern as LatencyPercentileMs): the
-  // rollout gate polls this while workers record into the same mutex.
+  // Sort outside the lock: the rollout gate polls this while workers
+  // record into the same mutex.
   return HealthSnapshotOf(model, version, std::move(copy));
-}
-
-void ServingStats::RecordMicroBatch(
-    int64_t batch_items, const std::vector<RequestSample>& samples,
-    const LeaseSample* lease) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // A fully score-cache-served micro-batch leased no lane and ran no
-  // forward pass: the batch (occupancy) and lease counters would
-  // misreport it as compute.
-  const bool forward_ran = lease == nullptr || lease->lane_leased;
-  if (forward_ran) {
-    RecordBatchLocked(static_cast<int64_t>(samples.size()), batch_items);
-  }
-  // One map probe for the whole micro-batch: every sample lands in the
-  // same (model, version) health window as the shared lease.
-  HealthWindow* health =
-      lease == nullptr ? nullptr
-                       : HealthWindowLocked(lease->model, lease->version);
-  for (const RequestSample& sample : samples) {
-    RecordRequestLocked(sample.items, sample.latency_ms);
-    if (sample.queue_ms >= 0.0) RecordQueueDelayLocked(sample.queue_ms);
-    if (sample.gate_lookup >= 0) RecordGateLookupLocked(sample.gate_lookup != 0);
-    if (sample.score_lookup >= 0) {
-      RecordScoreLookupLocked(sample.score_lookup);
-      if (sample.score_lookup == 1) {
-        AppendSplitSampleLocked(&score_hit_samples_ms_, &score_hit_count_,
-                                sample.latency_ms);
-      } else {
-        AppendSplitSampleLocked(&score_miss_samples_ms_, &score_miss_count_,
-                                sample.latency_ms);
-      }
-    }
-    if (sample.encoding_lookup >= 0) {
-      RecordEncodingLookupLocked(sample.encoding_lookup);
-    }
-    if (health != nullptr) {
-      AppendHealthSampleLocked(health, sample.latency_ms, /*ok=*/true);
-    }
-  }
-  if (lease != nullptr && lease->lane_leased) RecordLeaseLocked(*lease);
 }
 
 int64_t ServingStats::requests() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return requests_;
-}
-
-int64_t ServingStats::items() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return items_;
+  return state_.counters.requests;
 }
 
 double ServingStats::total_ms() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return total_ms_;
-}
-
-int64_t ServingStats::batches() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return batches_;
-}
-
-int64_t ServingStats::max_batch_requests() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_batch_requests_;
-}
-
-int64_t ServingStats::queued_requests() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queued_requests_;
+  return state_.counters.total_ms;
 }
 
 double ServingStats::queue_total_ms() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queue_total_ms_;
-}
-
-int64_t ServingStats::gate_cache_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return gate_cache_hits_;
-}
-
-int64_t ServingStats::gate_cache_misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return gate_cache_misses_;
-}
-
-int64_t ServingStats::score_cache_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return score_cache_hits_;
-}
-
-int64_t ServingStats::score_cache_misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return score_cache_misses_;
-}
-
-int64_t ServingStats::score_cache_invalidations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return score_cache_invalidations_;
-}
-
-int64_t ServingStats::encoding_cache_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return encoding_cache_hits_;
-}
-
-int64_t ServingStats::encoding_cache_misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return encoding_cache_misses_;
-}
-
-int64_t ServingStats::encoding_cache_invalidations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return encoding_cache_invalidations_;
-}
-
-int64_t ServingStats::snapshot_leases() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return snapshot_leases_;
-}
-
-int64_t ServingStats::max_active_lanes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_active_lanes_;
-}
-
-int64_t ServingStats::slates() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slates_;
-}
-
-int64_t ServingStats::slate_items() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slate_items_;
-}
-
-double ServingStats::MeanSessionLatencyMs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return requests_ == 0 ? 0.0 : total_ms_ / static_cast<double>(requests_);
-}
-
-double ServingStats::LatencyPercentileMs(double pct) const {
-  std::vector<double> sorted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sorted = samples_ms_;
-  }
-  std::sort(sorted.begin(), sorted.end());
-  return NearestRank(sorted, pct);
+  return state_.counters.queue_total_ms;
 }
 
 ServingStatsSnapshot ServingStats::Snapshot() const {
   ServingStatsSnapshot snap;
-  std::vector<double> sorted;
-  std::vector<double> score_hit_sorted;
-  std::vector<double> score_miss_sorted;
-  std::vector<double> rerank_sorted;
-  std::map<std::pair<std::string, int64_t>, HealthWindow> health;
-  double elapsed = 0.0;
+  std::map<VersionKey, HealthWindow> health;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    snap.requests = requests_;
-    snap.items = items_;
-    snap.total_ms = total_ms_;
-    if (requests_ > 0) {
-      snap.mean_ms = total_ms_ / static_cast<double>(requests_);
-    }
-    snap.batches = batches_;
-    if (batches_ > 0) {
-      snap.mean_batch_requests =
-          static_cast<double>(batch_requests_) / static_cast<double>(batches_);
-      snap.mean_batch_items =
-          static_cast<double>(batch_items_) / static_cast<double>(batches_);
-    }
-    snap.max_batch_requests = max_batch_requests_;
-    snap.batch_requests_total = batch_requests_;
-    snap.batch_items_total = batch_items_;
-    snap.queued_requests = queued_requests_;
-    if (queued_requests_ > 0) {
-      snap.queue_mean_ms =
-          queue_total_ms_ / static_cast<double>(queued_requests_);
-    }
-    snap.queue_max_ms = queue_max_ms_;
-    snap.queue_total_ms = queue_total_ms_;
-    snap.gate_cache_hits = gate_cache_hits_;
-    snap.gate_cache_misses = gate_cache_misses_;
-    snap.score_cache_hits = score_cache_hits_;
-    snap.score_cache_misses = score_cache_misses_;
-    snap.score_cache_invalidations = score_cache_invalidations_;
-    snap.encoding_cache_hits = encoding_cache_hits_;
-    snap.encoding_cache_misses = encoding_cache_misses_;
-    snap.encoding_cache_invalidations = encoding_cache_invalidations_;
-    snap.score_cache_entries = merged_score_cache_entries_;
-    snap.score_cache_bytes = merged_score_cache_bytes_;
-    snap.encoding_cache_entries = merged_encoding_cache_entries_;
-    snap.encoding_cache_bytes = merged_encoding_cache_bytes_;
-    snap.gate_cache_entries = merged_gate_cache_entries_;
-    snap.gate_cache_bytes = merged_gate_cache_bytes_;
-    score_hit_sorted = score_hit_samples_ms_;
-    score_miss_sorted = score_miss_samples_ms_;
-    snap.slates = slates_;
-    snap.slate_items = slate_items_;
-    if (slates_ > 0) {
-      snap.mean_slate_items =
-          static_cast<double>(slate_items_) / static_cast<double>(slates_);
-    }
-    snap.slates_le10 = slates_le10_;
-    snap.slates_le25 = slates_le25_;
-    snap.slates_le50 = slates_le50_;
-    snap.slates_gt50 = slates_gt50_;
-    rerank_sorted = rerank_samples_ms_;
-    snap.snapshot_leases = snapshot_leases_;
-    if (snapshot_leases_ > 0) {
-      snap.mean_active_lanes = static_cast<double>(active_lanes_total_) /
-                               static_cast<double>(snapshot_leases_);
-    }
-    snap.max_active_lanes = max_active_lanes_;
-    snap.active_lanes_total = active_lanes_total_;
-    snap.drift_sessions = drift_sessions_;
-    snap.drift_engaged = drift_engaged_;
-    for (const auto& [key, lanes] : version_lane_leases_) {
+    static_cast<ServingCounters&>(snap) = state_.counters;
+    snap.samples_ms = state_.requests.samples();
+    snap.score_hit_samples_ms = state_.score_hits.samples();
+    snap.score_miss_samples_ms = state_.score_misses.samples();
+    snap.rerank_samples_ms = state_.rerank.samples();
+    for (const auto& [key, lanes] : state_.version_lane_leases) {
       ModelVersionStatsSnapshot version;
       version.model = key.first;
       version.version = key.second;
@@ -540,185 +336,80 @@ ServingStatsSnapshot ServingStats::Snapshot() const {
       for (int64_t count : lanes) version.leases += count;
       snap.versions.push_back(std::move(version));
     }
-    health = version_health_;
-    sorted = samples_ms_;
-    elapsed = wall_started_ ? wall_.ElapsedSeconds() + wall_offset_s_ : 0.0;
-    elapsed = std::max(elapsed, merged_wall_s_);
+    health = state_.version_health;
+    if (state_.wall_started) {
+      snap.wall_seconds = std::max(
+          snap.wall_seconds, wall_.ElapsedSeconds() + state_.wall_offset_s);
+    }
   }
-  // Sort once outside the lock so concurrent RecordRequest callers are
-  // not blocked behind an O(n log n) pass; same for the per-version
-  // health windows, whose percentile sorts run on the copies.
+  // Everything below works on the copies, outside the lock, so
+  // concurrent recorders are not blocked behind the O(n log n) sorts.
   for (auto& [key, window] : health) {
     snap.version_health.push_back(
         HealthSnapshotOf(key.first, key.second, std::move(window)));
   }
-  std::sort(sorted.begin(), sorted.end());
-  if (!sorted.empty()) {
-    snap.p50_ms = NearestRank(sorted, 50.0);
-    snap.p95_ms = NearestRank(sorted, 95.0);
-    snap.p99_ms = NearestRank(sorted, 99.0);
+  for (std::vector<double>* samples :
+       {&snap.samples_ms, &snap.score_hit_samples_ms,
+        &snap.score_miss_samples_ms, &snap.rerank_samples_ms}) {
+    std::sort(samples->begin(), samples->end());
   }
-  std::sort(score_hit_sorted.begin(), score_hit_sorted.end());
-  if (!score_hit_sorted.empty()) {
-    snap.score_hit_p50_ms = NearestRank(score_hit_sorted, 50.0);
-    snap.score_hit_p99_ms = NearestRank(score_hit_sorted, 99.0);
+  snap.mean_ms = Ratio(snap.total_ms, snap.requests);
+  snap.p50_ms = NearestRank(snap.samples_ms, 50.0);
+  snap.p95_ms = NearestRank(snap.samples_ms, 95.0);
+  snap.p99_ms = NearestRank(snap.samples_ms, 99.0);
+  if (snap.wall_seconds > 0.0) {
+    snap.qps = static_cast<double>(snap.requests) / snap.wall_seconds;
   }
-  std::sort(score_miss_sorted.begin(), score_miss_sorted.end());
-  if (!score_miss_sorted.empty()) {
-    snap.score_miss_p50_ms = NearestRank(score_miss_sorted, 50.0);
-    snap.score_miss_p99_ms = NearestRank(score_miss_sorted, 99.0);
-  }
-  std::sort(rerank_sorted.begin(), rerank_sorted.end());
-  if (!rerank_sorted.empty()) {
-    snap.rerank_p50_ms = NearestRank(rerank_sorted, 50.0);
-    snap.rerank_p99_ms = NearestRank(rerank_sorted, 99.0);
-  }
-  snap.wall_seconds = elapsed;
-  if (elapsed > 0.0) {
-    snap.qps = static_cast<double>(snap.requests) / elapsed;
-  }
-  snap.samples_ms = std::move(sorted);
-  snap.score_hit_samples_ms = std::move(score_hit_sorted);
-  snap.score_miss_samples_ms = std::move(score_miss_sorted);
-  snap.rerank_samples_ms = std::move(rerank_sorted);
+  snap.mean_batch_requests =
+      Ratio(static_cast<double>(snap.batch_requests_total), snap.batches);
+  snap.mean_batch_items =
+      Ratio(static_cast<double>(snap.batch_items_total), snap.batches);
+  snap.queue_mean_ms = Ratio(snap.queue_total_ms, snap.queued_requests);
+  snap.mean_slate_items =
+      Ratio(static_cast<double>(snap.slate_items), snap.slates);
+  snap.mean_active_lanes =
+      Ratio(static_cast<double>(snap.active_lanes_total), snap.snapshot_leases);
+  snap.score_hit_p50_ms = NearestRank(snap.score_hit_samples_ms, 50.0);
+  snap.score_hit_p99_ms = NearestRank(snap.score_hit_samples_ms, 99.0);
+  snap.score_miss_p50_ms = NearestRank(snap.score_miss_samples_ms, 50.0);
+  snap.score_miss_p99_ms = NearestRank(snap.score_miss_samples_ms, 99.0);
+  snap.rerank_p50_ms = NearestRank(snap.rerank_samples_ms, 50.0);
+  snap.rerank_p99_ms = NearestRank(snap.rerank_samples_ms, 99.0);
   return snap;
 }
 
 void ServingStats::MergeFrom(const ServingStatsSnapshot& other) {
   std::lock_guard<std::mutex> lock(mu_);
-  requests_ += other.requests;
-  items_ += other.items;
-  total_ms_ += other.total_ms;
-  batches_ += other.batches;
-  batch_requests_ += other.batch_requests_total;
-  batch_items_ += other.batch_items_total;
-  max_batch_requests_ = std::max(max_batch_requests_, other.max_batch_requests);
-  queued_requests_ += other.queued_requests;
-  queue_total_ms_ += other.queue_total_ms;
-  queue_max_ms_ = std::max(queue_max_ms_, other.queue_max_ms);
-  gate_cache_hits_ += other.gate_cache_hits;
-  gate_cache_misses_ += other.gate_cache_misses;
-  score_cache_hits_ += other.score_cache_hits;
-  score_cache_misses_ += other.score_cache_misses;
-  score_cache_invalidations_ += other.score_cache_invalidations;
-  encoding_cache_hits_ += other.encoding_cache_hits;
-  encoding_cache_misses_ += other.encoding_cache_misses;
-  encoding_cache_invalidations_ += other.encoding_cache_invalidations;
-  // Occupancy gauges sum: each shard's snapshot carries its own pool's
-  // live residency, so the sink reports fleet-wide bytes.
-  merged_score_cache_entries_ += other.score_cache_entries;
-  merged_score_cache_bytes_ += other.score_cache_bytes;
-  merged_encoding_cache_entries_ += other.encoding_cache_entries;
-  merged_encoding_cache_bytes_ += other.encoding_cache_bytes;
-  merged_gate_cache_entries_ += other.gate_cache_entries;
-  merged_gate_cache_bytes_ += other.gate_cache_bytes;
-  // Pool the split reservoirs exactly like the main one below.
-  score_hit_samples_ms_.insert(score_hit_samples_ms_.end(),
-                               other.score_hit_samples_ms.begin(),
-                               other.score_hit_samples_ms.end());
-  score_hit_count_ +=
-      static_cast<int64_t>(other.score_hit_samples_ms.size());
-  score_miss_samples_ms_.insert(score_miss_samples_ms_.end(),
-                                other.score_miss_samples_ms.begin(),
-                                other.score_miss_samples_ms.end());
-  score_miss_count_ +=
-      static_cast<int64_t>(other.score_miss_samples_ms.size());
-  // Slate counters sum exactly; the rerank reservoir pools like the
-  // score-cache split ones (exact union under kMaxSamples per source).
-  slates_ += other.slates;
-  slate_items_ += other.slate_items;
-  slates_le10_ += other.slates_le10;
-  slates_le25_ += other.slates_le25;
-  slates_le50_ += other.slates_le50;
-  slates_gt50_ += other.slates_gt50;
-  rerank_samples_ms_.insert(rerank_samples_ms_.end(),
-                            other.rerank_samples_ms.begin(),
-                            other.rerank_samples_ms.end());
-  rerank_count_ += static_cast<int64_t>(other.rerank_samples_ms.size());
-  snapshot_leases_ += other.snapshot_leases;
-  active_lanes_total_ += other.active_lanes_total;
-  max_active_lanes_ = std::max(max_active_lanes_, other.max_active_lanes);
-  // Drift totals sum (per-version drift counters ride the health
-  // windows and are, like them, deliberately not merged).
-  drift_sessions_ += other.drift_sessions;
-  drift_engaged_ += other.drift_engaged;
-  // Pool the reservoirs. The concatenation may exceed kMaxSamples in an
-  // aggregation sink — that is intentional (it IS the exact union);
-  // RecordRequest's reservoir math only ever overwrites slots below
-  // kMaxSamples, so an oversized vector stays safe if the sink later
-  // records directly.
-  samples_ms_.insert(samples_ms_.end(), other.samples_ms.begin(),
-                     other.samples_ms.end());
+  AddCounters(other, &state_.counters);
+  // The request reservoir stands for every request of the source; the
+  // split and rerank reservoirs for the samples they carry.
+  state_.requests.Merge(other.samples_ms, other.requests);
+  state_.score_hits.Merge(
+      other.score_hit_samples_ms,
+      static_cast<int64_t>(other.score_hit_samples_ms.size()));
+  state_.score_misses.Merge(
+      other.score_miss_samples_ms,
+      static_cast<int64_t>(other.score_miss_samples_ms.size()));
+  state_.rerank.Merge(other.rerank_samples_ms,
+                      static_cast<int64_t>(other.rerank_samples_ms.size()));
   for (const ModelVersionStatsSnapshot& version : other.versions) {
-    auto [it, inserted] =
-        version_lane_leases_.try_emplace({version.model, version.version});
-    if (inserted &&
-        TrimModelVersions(&version_lane_leases_, version.model, it,
-                          kMaxVersionsPerModel)) {
-      continue;  // Older than every retained version of that model.
-    }
-    std::vector<int64_t>& lanes = it->second;
-    if (lanes.size() < version.lane_leases.size()) {
-      lanes.resize(version.lane_leases.size(), 0);
+    std::vector<int64_t>* lanes = VersionEntry(
+        &state_.version_lane_leases, version.model, version.version);
+    if (lanes == nullptr) continue;  // Older than every retained version.
+    if (lanes->size() < version.lane_leases.size()) {
+      lanes->resize(version.lane_leases.size(), 0);
     }
     for (size_t lane = 0; lane < version.lane_leases.size(); ++lane) {
-      lanes[lane] += version.lane_leases[lane];
+      (*lanes)[lane] += version.lane_leases[lane];
     }
   }
   // Health windows are deliberately NOT merged (sliding windows have no
   // exact union); see the header comment.
-  merged_wall_s_ = std::max(merged_wall_s_, other.wall_seconds);
 }
 
 void ServingStats::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  samples_ms_.clear();
-  requests_ = 0;
-  items_ = 0;
-  total_ms_ = 0.0;
-  batches_ = 0;
-  batch_requests_ = 0;
-  batch_items_ = 0;
-  max_batch_requests_ = 0;
-  queued_requests_ = 0;
-  queue_total_ms_ = 0.0;
-  queue_max_ms_ = 0.0;
-  gate_cache_hits_ = 0;
-  gate_cache_misses_ = 0;
-  score_cache_hits_ = 0;
-  score_cache_misses_ = 0;
-  score_cache_invalidations_ = 0;
-  encoding_cache_hits_ = 0;
-  encoding_cache_misses_ = 0;
-  encoding_cache_invalidations_ = 0;
-  score_hit_samples_ms_.clear();
-  score_hit_count_ = 0;
-  score_miss_samples_ms_.clear();
-  score_miss_count_ = 0;
-  slates_ = 0;
-  slate_items_ = 0;
-  slates_le10_ = 0;
-  slates_le25_ = 0;
-  slates_le50_ = 0;
-  slates_gt50_ = 0;
-  rerank_samples_ms_.clear();
-  rerank_count_ = 0;
-  merged_score_cache_entries_ = 0;
-  merged_score_cache_bytes_ = 0;
-  merged_encoding_cache_entries_ = 0;
-  merged_encoding_cache_bytes_ = 0;
-  merged_gate_cache_entries_ = 0;
-  merged_gate_cache_bytes_ = 0;
-  snapshot_leases_ = 0;
-  active_lanes_total_ = 0;
-  max_active_lanes_ = 0;
-  drift_sessions_ = 0;
-  drift_engaged_ = 0;
-  version_lane_leases_.clear();
-  version_health_.clear();
-  wall_started_ = false;
-  wall_offset_s_ = 0.0;
-  merged_wall_s_ = 0.0;
+  state_ = State{};
 }
 
 }  // namespace awmoe

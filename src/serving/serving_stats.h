@@ -53,37 +53,32 @@ struct VersionHealthSnapshot {
   double drift_engaged_rate = 0.0;
 };
 
-/// Point-in-time view of the serving counters (safe to copy around and
-/// print without holding any lock).
-struct ServingStatsSnapshot {
+/// The raw, mergeable serving counters: everything `ServingStats`
+/// accumulates besides its latency reservoirs and per-version maps.
+/// Every field is a sum, except the three maxima (max_batch_requests,
+/// queue_max_ms, max_active_lanes) and `wall_seconds`, which merge by
+/// max. `ServingStatsSnapshot` extends this block with the derived
+/// means, percentiles and QPS.
+struct ServingCounters {
   int64_t requests = 0;
   int64_t items = 0;
   double total_ms = 0.0;
-  double mean_ms = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  /// Completed requests per second of observed wall-clock, measured
-  /// from the first recorded request (not construction) to the
-  /// snapshot, so idle setup time does not dilute the number.
-  double qps = 0.0;
 
-  /// Forward passes executed (one per micro-batch). Occupancy —
-  /// `mean_batch_requests` — is the cross-session amortisation factor:
-  /// 1.0 means every request paid its own forward.
+  /// Forward passes executed (one per micro-batch), the requests and
+  /// candidates they carried, and the fullest one.
   int64_t batches = 0;
-  double mean_batch_requests = 0.0;
+  int64_t batch_requests_total = 0;
+  int64_t batch_items_total = 0;
   int64_t max_batch_requests = 0;
-  double mean_batch_items = 0.0;
 
   /// Async front only: requests that went through the `Submit` queue,
   /// and how long they waited there before their flush started.
   int64_t queued_requests = 0;
-  double queue_mean_ms = 0.0;
+  double queue_total_ms = 0.0;
   double queue_max_ms = 0.0;
 
   /// §III-F gate LRU outcome counts (one lookup per request on the
-  /// shared-gate path; a miss covers both cold and invalidated rows).
+  /// shared-gate path; a miss covers cold, invalidated and stale rows).
   int64_t gate_cache_hits = 0;
   int64_t gate_cache_misses = 0;
 
@@ -99,19 +94,11 @@ struct ServingStatsSnapshot {
   int64_t encoding_cache_misses = 0;
   int64_t encoding_cache_invalidations = 0;
 
-  /// End-to-end request latency split by level-1 outcome: the hit path
-  /// skips collation, lane leasing and the forward pass entirely, and
-  /// these two distributions quantify exactly what that buys (the
-  /// bench gate asserts hit p99 < miss p99).
-  double score_hit_p50_ms = 0.0;
-  double score_hit_p99_ms = 0.0;
-  double score_miss_p50_ms = 0.0;
-  double score_miss_p99_ms = 0.0;
-
   /// Snapshot-scoped cache occupancy gauges (live entries / estimated
   /// resident bytes across the pool's published snapshots), filled by
   /// `ServingEngine::Stats` from the pool at snapshot time; MergeFrom
-  /// sums them, so a fleet sink reports fleet-wide residency.
+  /// sums them, so a fleet sink reports fleet-wide residency. A bare
+  /// ServingStats only carries the gauges of merged-in snapshots.
   int64_t score_cache_entries = 0;
   int64_t score_cache_bytes = 0;
   int64_t encoding_cache_entries = 0;
@@ -121,44 +108,76 @@ struct ServingStatsSnapshot {
 
   /// Slate-scoring (listwise) accounting: slates rerank-scored, their
   /// total candidate count, and a size-occupancy histogram (slate
-  /// length <= 10 / <= 25 / <= 50 / > 50 candidates). All counters sum
-  /// exactly through MergeFrom, so a fleet sink reports fleet-wide
-  /// slate load.
+  /// length <= 10 / <= 25 / <= 50 / > 50 candidates).
   int64_t slates = 0;
   int64_t slate_items = 0;
-  double mean_slate_items = 0.0;
   int64_t slates_le10 = 0;
   int64_t slates_le25 = 0;
   int64_t slates_le50 = 0;
   int64_t slates_gt50 = 0;
 
+  /// Replica-lane accounting: one lease is acquired per executed
+  /// micro-batch, and each acquire samples how many of the snapshot's
+  /// lanes were busy — >1 means forwards for one model genuinely
+  /// overlapped on distinct replicas.
+  int64_t snapshot_leases = 0;
+  int64_t active_lanes_total = 0;
+  int64_t max_active_lanes = 0;
+
+  /// Engine-wide accuracy-drift totals (sum over all versions' drift
+  /// counters, including trimmed ones). Unlike the per-version health
+  /// windows these DO merge, so a fleet sink reports how much
+  /// shadow-scoring evidence the fleet has seen.
+  int64_t drift_sessions = 0;
+  int64_t drift_engaged = 0;
+
+  /// Observed wall-clock window (seconds) behind `qps`, measured from
+  /// the first recorded request (not construction), so idle setup time
+  /// does not dilute the rate; 0 before the first request. Merging
+  /// takes the max across sources (concurrent shards share the wall),
+  /// not the sum.
+  double wall_seconds = 0.0;
+};
+
+/// Point-in-time view of the serving counters (safe to copy around and
+/// print without holding any lock): the raw counters plus what is
+/// derived from them and from the latency reservoirs.
+struct ServingStatsSnapshot : ServingCounters {
+  /// Request latency: mean, nearest-rank percentiles over the retained
+  /// reservoir, and completed requests per second of `wall_seconds`.
+  double mean_ms = 0.0;
+  double p50_ms = 0.0;
+  double p95_ms = 0.0;
+  double p99_ms = 0.0;
+  double qps = 0.0;
+
+  /// Occupancy — `mean_batch_requests` — is the cross-session
+  /// amortisation factor: 1.0 means every request paid its own forward.
+  double mean_batch_requests = 0.0;
+  double mean_batch_items = 0.0;
+  double queue_mean_ms = 0.0;
+  double mean_slate_items = 0.0;
+  double mean_active_lanes = 0.0;
+
+  /// End-to-end request latency split by level-1 outcome: the hit path
+  /// skips collation, lane leasing and the forward pass entirely, and
+  /// these two distributions quantify exactly what that buys (the
+  /// bench gate asserts hit p99 < miss p99).
+  double score_hit_p50_ms = 0.0;
+  double score_hit_p99_ms = 0.0;
+  double score_miss_p50_ms = 0.0;
+  double score_miss_p99_ms = 0.0;
+
   /// Rerank-stage latency: one sample per slate-scoring forward pass
   /// (the lane critical section of a slate micro-batch — collation and
-  /// response fan-out excluded). Percentiles come from the carried
-  /// reservoir below, pooled exactly by MergeFrom like the others.
+  /// response fan-out excluded).
   double rerank_p50_ms = 0.0;
   double rerank_p99_ms = 0.0;
-  std::vector<double> rerank_samples_ms;
-
-  /// Replica-lane accounting: one lease is acquired per executed
-  /// micro-batch. `mean/max_active_lanes` sample, at each acquire, how
-  /// many of the snapshot's lanes were busy — >1 means forwards for one
-  /// model genuinely overlapped on distinct replicas.
-  int64_t snapshot_leases = 0;
-  double mean_active_lanes = 0.0;
-  int64_t max_active_lanes = 0;
 
   /// Versions published via `ModelPool::UpdateModel` over the pool's
   /// lifetime (filled by `ServingEngine::Stats` from the pool; 0 when
   /// snapshotting a bare ServingStats).
   int64_t model_swaps = 0;
-
-  /// Engine-wide accuracy-drift totals (sum over all versions'
-  /// drift counters, including trimmed ones). Unlike the per-version
-  /// health windows these DO merge — MergeFrom sums them — so a fleet
-  /// sink reports how much shadow-scoring evidence the fleet has seen.
-  int64_t drift_sessions = 0;
-  int64_t drift_engaged = 0;
 
   /// Per model-version lease counters, ordered by (model, version).
   std::vector<ModelVersionStatsSnapshot> versions;
@@ -167,31 +186,29 @@ struct ServingStatsSnapshot {
   /// ordered by (model, version).
   std::vector<VersionHealthSnapshot> version_health;
 
-  /// The retained latency reservoir, ascending-sorted — what the
-  /// percentiles above were computed from. Carried so snapshots can be
-  /// POOLED: `ServingStats::MergeFrom` concatenates the reservoirs of
-  /// per-shard snapshots, which is the exact sample union (and thus
-  /// yields exact merged percentiles) as long as every source stayed
-  /// under kMaxSamples requests.
+  /// The retained latency reservoirs, ascending-sorted — what the
+  /// percentiles above were computed from: every request, then split by
+  /// score-cache outcome, then one sample per rerank forward. Carried so
+  /// snapshots can be POOLED: `ServingStats::MergeFrom` concatenates the
+  /// reservoirs of per-shard snapshots, which is the exact sample union
+  /// (and thus yields exact merged percentiles) as long as every source
+  /// stayed under kMaxSamples samples per reservoir.
   std::vector<double> samples_ms;
-
-  /// The score-cache hit/miss latency reservoirs behind the split
-  /// percentiles above, ascending-sorted and carried for the same
-  /// pooled-merge reason.
   std::vector<double> score_hit_samples_ms;
   std::vector<double> score_miss_samples_ms;
+  std::vector<double> rerank_samples_ms;
+};
 
-  /// Raw sums behind the means above, carried so a merge can re-derive
-  /// the pooled means instead of averaging averages.
-  int64_t batch_requests_total = 0;
-  int64_t batch_items_total = 0;
-  double queue_total_ms = 0.0;
-  int64_t active_lanes_total = 0;
-
-  /// Observed wall-clock window (seconds) behind `qps`; 0 before the
-  /// first request. Merging takes the max across sources (concurrent
-  /// shards share the wall), not the sum.
-  double wall_seconds = 0.0;
+/// Outcome of one session-cache lookup (level-1 scores, level-2
+/// encodings, §III-F gate rows), from the cache through to the stats
+/// counters. kStale means the entry existed but its validity stamp no
+/// longer matched (history moved on) and was evicted; kNone means the
+/// level did not look up at all.
+enum class CacheLookup {
+  kNone,
+  kMiss,
+  kHit,
+  kStale,
 };
 
 /// One executed micro-batch's lease, as recorded into the stats.
@@ -210,28 +227,27 @@ struct LeaseSample {
   bool lane_leased = true;
 };
 
-/// One request's contribution to a micro-batch stats record. The
-/// session-cache lookup fields share one encoding: -1 no lookup, 0
-/// miss, 1 hit, 2 stale (counted as a miss AND an invalidation).
+/// One request's contribution to a micro-batch stats record.
 struct RequestSample {
   int64_t items = 0;
   double latency_ms = 0.0;
   double queue_ms = -1.0;  // < 0: not an async (queued) request.
-  int gate_lookup = -1;    // -1 no lookup, 0 cache miss, 1 cache hit.
-  int score_lookup = -1;     // Level-1 score-cache outcome.
-  int encoding_lookup = -1;  // Level-2 encoding-cache outcome.
+  /// A stale gate row counts as a plain gate miss; a stale score or
+  /// encoding entry counts as a miss AND an invalidation.
+  CacheLookup gate_lookup = CacheLookup::kNone;
+  CacheLookup score_lookup = CacheLookup::kNone;     // Level-1 score cache.
+  CacheLookup encoding_lookup = CacheLookup::kNone;  // Level-2 encodings.
 };
 
-/// Latency accounting for the serving engine. Unlike the old aggregate
-/// counters (sessions/total_ms), per-request latency samples are kept,
-/// so percentiles are exact (nearest-rank) up to kMaxSamples requests;
-/// past that a uniform reservoir bounds memory and percentiles become
-/// statistically representative estimates. Counts, totals and the mean
-/// stay exact throughout. Thread-safe: engine workers record
-/// concurrently.
+/// Latency accounting for the serving engine. Per-request latency
+/// samples are kept, so percentiles are exact (nearest-rank) up to
+/// kMaxSamples samples per reservoir; past that a uniform reservoir
+/// bounds memory and percentiles become statistically representative
+/// estimates. Counts, totals and the means stay exact throughout.
+/// Thread-safe: engine workers record concurrently.
 class ServingStats {
  public:
-  /// Samples retained for percentile computation.
+  /// Samples retained per latency reservoir for percentile computation.
   static constexpr int64_t kMaxSamples = 1 << 16;
 
   /// Per-model cap on retained version entries in the lease breakdown:
@@ -246,29 +262,20 @@ class ServingStats {
 
   ServingStats() = default;
 
-  /// Records one completed request of `items` candidates.
-  void RecordRequest(int64_t items, double latency_ms);
-
-  /// Records one executed micro-batch (one forward pass) that carried
-  /// `batch_requests` requests totalling `batch_items` candidates.
-  void RecordBatch(int64_t batch_requests, int64_t batch_items);
-
-  /// Records the time one async-submitted request spent queued before
-  /// its flush started.
-  void RecordQueueDelay(double delay_ms);
-
-  /// Records one gate-LRU lookup outcome on the shared-gate path.
-  void RecordGateLookup(bool hit);
-
-  /// Records one level-1 score-cache lookup outcome (RequestSample
-  /// encoding: 0 miss, 1 hit, 2 stale).
-  void RecordScoreLookup(int outcome);
-
-  /// Records one level-2 encoding-cache lookup outcome (same encoding).
-  void RecordEncodingLookup(int outcome);
-
-  /// Records one snapshot+replica lease (one per executed micro-batch).
-  void RecordLease(const LeaseSample& lease);
+  /// Records one executed micro-batch (one forward pass carrying
+  /// `batch_items` candidates) and all its requests under a SINGLE
+  /// lock acquisition: workers and the async flusher all contend on
+  /// this mutex. Each sample counts one request, its queue delay
+  /// (queue_ms >= 0) and its cache lookups; samples with a score
+  /// lookup also land in the hit/miss split latency reservoirs. A
+  /// non-null `lease` counts one snapshot+replica lease and feeds each
+  /// sample's latency into the lease's (model, version) health window
+  /// (ok=true; the engine's scored path cannot fail). A lease with
+  /// lane_leased == false (micro-batch fully served from the score
+  /// cache) skips the batch and lease counters: no forward pass ran.
+  void RecordMicroBatch(int64_t batch_items,
+                        const std::vector<RequestSample>& samples,
+                        const LeaseSample* lease = nullptr);
 
   /// Records the rerank stage of one slate-scoring micro-batch: one
   /// size-histogram entry per slate in `slate_sizes` (the per-request
@@ -308,68 +315,18 @@ class ServingStats {
   /// floor the fresh candidate must clear.
   void ResetDriftCounters(const std::string& model, int64_t version);
 
-  int64_t drift_sessions() const;
-  int64_t drift_engaged() const;
-
   /// The health window of `(model, version)`; zeros when that version
   /// has recorded nothing (or was trimmed as one of the oldest).
   VersionHealthSnapshot VersionHealth(const std::string& model,
                                       int64_t version) const;
 
-  /// Records one executed micro-batch and all its requests under a
-  /// SINGLE lock acquisition — what the scoring hot path uses instead
-  /// of one Record* call per request (workers and the async flusher
-  /// all contend on this mutex). Equivalent to RecordBatch +, per
-  /// sample, RecordRequest / RecordQueueDelay (queue_ms >= 0) /
-  /// RecordGateLookup (gate_lookup >= 0) / RecordScoreLookup /
-  /// RecordEncodingLookup (each *_lookup >= 0), plus RecordLease when
-  /// `lease` is non-null — in which case each sample's latency also
-  /// lands in the lease's (model, version) health window (ok=true; the
-  /// engine's scored path cannot fail). A lease with lane_leased ==
-  /// false (micro-batch fully served from the score cache) skips the
-  /// batch and lease counters: no forward pass ran. Samples with a
-  /// score_lookup also land in the hit/miss split latency reservoirs.
-  void RecordMicroBatch(int64_t batch_items,
-                        const std::vector<RequestSample>& samples,
-                        const LeaseSample* lease = nullptr);
-
+  /// Lock-cheap counter reads: with these three the fleet admission
+  /// controller refreshes its sliding SERVICE-time estimate —
+  /// (total - queue) / requests over a counter delta — without paying
+  /// for a full Snapshot (which copies and sorts the reservoirs).
   int64_t requests() const;
-  /// Backward-compatible alias from the RankingService era, where one
-  /// request always carried one session.
-  int64_t sessions() const { return requests(); }
-  int64_t items() const;
   double total_ms() const;
-
-  /// Backward-compatible mean accessor (total latency / requests).
-  double MeanSessionLatencyMs() const;
-
-  /// Nearest-rank percentile over the retained samples (exact until
-  /// kMaxSamples requests, reservoir-estimated beyond); `pct` in
-  /// (0, 100]. Returns 0 when nothing has been recorded.
-  double LatencyPercentileMs(double pct) const;
-
-  int64_t batches() const;
-  int64_t max_batch_requests() const;
-  int64_t queued_requests() const;
-  /// Total async queue delay (ms) across queued requests. Together with
-  /// requests()/total_ms() this gives a cheap sliding SERVICE-time
-  /// estimate — (total - queue) / requests over a counter delta —
-  /// without paying for a full Snapshot (which copies the reservoir);
-  /// the fleet admission controller refreshes its per-shard estimate
-  /// from exactly these three counters.
   double queue_total_ms() const;
-  int64_t gate_cache_hits() const;
-  int64_t gate_cache_misses() const;
-  int64_t score_cache_hits() const;
-  int64_t score_cache_misses() const;
-  int64_t score_cache_invalidations() const;
-  int64_t encoding_cache_hits() const;
-  int64_t encoding_cache_misses() const;
-  int64_t encoding_cache_invalidations() const;
-  int64_t snapshot_leases() const;
-  int64_t max_active_lanes() const;
-  int64_t slates() const;
-  int64_t slate_items() const;
 
   ServingStatsSnapshot Snapshot() const;
 
@@ -377,7 +334,7 @@ class ServingStats {
   /// fleet-aggregation path (serving/shard.h): a fresh ServingStats is
   /// used as a sink, each shard's Snapshot() is merged in, and the
   /// sink's own Snapshot() then reports fleet-wide counters and EXACT
-  /// pooled percentiles (the snapshot carries its latency reservoir;
+  /// pooled percentiles (the snapshot carries its latency reservoirs;
   /// concatenation is the sample union while every source stayed under
   /// kMaxSamples). Counters and per-version lease breakdowns sum;
   /// max-fields take the max; the QPS wall-clock window takes the max
@@ -390,6 +347,27 @@ class ServingStats {
   void Reset();
 
  private:
+  /// A uniform latency sample (Algorithm R) capped at kMaxSamples:
+  /// exact until the cap, each of `count` samples kept with equal
+  /// probability past it.
+  class LatencyReservoir {
+   public:
+    /// Appends one sample; `rng` is the owner's xorshift state, which
+    /// all its reservoirs draw from in record order.
+    void Append(double latency_ms, uint64_t* rng);
+    /// Pools `samples`, which stand for `count` recorded samples. The
+    /// concatenation may exceed kMaxSamples in an aggregation sink —
+    /// that is intentional (it IS the exact union); Append only ever
+    /// overwrites slots below kMaxSamples, so an oversized reservoir
+    /// stays safe if the sink later records directly.
+    void Merge(const std::vector<double>& samples, int64_t count);
+    const std::vector<double>& samples() const { return samples_; }
+
+   private:
+    std::vector<double> samples_;
+    int64_t count_ = 0;  // Samples ever appended or merged.
+  };
+
   /// Per-version health accumulator: a circular buffer of the newest
   /// kHealthWindow ok-latencies plus lifetime request/error counts.
   struct HealthWindow {
@@ -402,110 +380,42 @@ class ServingStats {
     int64_t drift_engaged = 0;
   };
 
-  // Unlocked cores of the Record* methods; caller holds mu_.
-  void RecordRequestLocked(int64_t items, double latency_ms);
-  void RecordBatchLocked(int64_t batch_requests, int64_t batch_items);
-  void RecordQueueDelayLocked(double delay_ms);
-  void RecordGateLookupLocked(bool hit);
-  void RecordScoreLookupLocked(int outcome);
-  void RecordEncodingLookupLocked(int outcome);
-  void RecordLeaseLocked(const LeaseSample& lease);
-  /// Reservoir append (Algorithm R, like the main reservoir) into one
-  /// of the score-cache hit/miss split reservoirs; `count` is that
-  /// reservoir's lifetime sample count, bumped here.
-  void AppendSplitSampleLocked(std::vector<double>* reservoir,
-                               int64_t* count, double latency_ms);
-  /// Finds-or-creates (model, version)'s window, running the per-model
-  /// trim on insert. Returns nullptr when the version is too old to
-  /// track (a fresh insert below every retained version is itself what
-  /// the trim would drop — e.g. a straggler lease on a long-retired
-  /// snapshot); the pointer stays valid for the rest of the locked
-  /// section otherwise (map nodes are stable).
-  HealthWindow* HealthWindowLocked(const std::string& model, int64_t version);
-  static void AppendHealthSampleLocked(HealthWindow* window,
-                                       double latency_ms, bool ok);
+  using VersionKey = std::pair<std::string, int64_t>;
+
+  /// Everything Reset() clears.
+  struct State {
+    ServingCounters counters;
+    LatencyReservoir requests;
+    LatencyReservoir score_hits;
+    LatencyReservoir score_misses;
+    LatencyReservoir rerank;
+    /// Keyed by (model, version), so one model's versions are
+    /// contiguous and ascending; lane_leases sized on first use per
+    /// lane. Both maps keep only the newest kMaxVersionsPerModel
+    /// versions per model.
+    std::map<VersionKey, std::vector<int64_t>> version_lane_leases;
+    std::map<VersionKey, HealthWindow> version_health;
+    bool wall_started = false;  // Clock starts at the first request.
+    double wall_offset_s = 0.0;  // First request's own service time.
+  };
+
+  static void AppendHealthSample(HealthWindow* window, double latency_ms,
+                                 bool ok);
   /// Builds the percentile view from a COPIED window — called outside
   /// mu_ so the O(N log N) sort never blocks the recording hot path.
   static VersionHealthSnapshot HealthSnapshotOf(const std::string& model,
                                                 int64_t version,
                                                 HealthWindow window);
 
-  // One mutex guards every counter AND the latency reservoir: samples
-  // are recorded concurrently by RankBatch worker threads and the async
-  // flusher thread, so the reservoir (vector growth, slot overwrites,
-  // the xorshift state) must never be touched outside mu_. The async
-  // stress test asserts exact counts under contention and the TSan CI
-  // job checks the locking.
+  // One mutex guards all state, the reservoirs' vector growth, slot
+  // overwrites and the xorshift state included: samples are recorded
+  // concurrently by RankBatch worker threads and the async flusher
+  // thread. The async stress test asserts exact counts under contention
+  // and the TSan CI job checks the locking.
   mutable std::mutex mu_;
-  std::vector<double> samples_ms_;  // Reservoir, capped at kMaxSamples.
-  int64_t requests_ = 0;
-  int64_t items_ = 0;
-  double total_ms_ = 0.0;
-  int64_t batches_ = 0;
-  int64_t batch_requests_ = 0;  // Sum over batches; occupancy numerator.
-  int64_t batch_items_ = 0;
-  int64_t max_batch_requests_ = 0;
-  int64_t queued_requests_ = 0;
-  double queue_total_ms_ = 0.0;
-  double queue_max_ms_ = 0.0;
-  int64_t gate_cache_hits_ = 0;
-  int64_t gate_cache_misses_ = 0;
-  int64_t score_cache_hits_ = 0;
-  int64_t score_cache_misses_ = 0;
-  int64_t score_cache_invalidations_ = 0;
-  int64_t encoding_cache_hits_ = 0;
-  int64_t encoding_cache_misses_ = 0;
-  int64_t encoding_cache_invalidations_ = 0;
-  /// Score-cache hit/miss split latency reservoirs, each capped at
-  /// kMaxSamples with its own lifetime count driving Algorithm R.
-  std::vector<double> score_hit_samples_ms_;
-  int64_t score_hit_count_ = 0;
-  std::vector<double> score_miss_samples_ms_;
-  int64_t score_miss_count_ = 0;
-  /// Cache occupancy gauges folded in via MergeFrom (a bare
-  /// ServingStats never sets its own: the engine stamps live pool
-  /// gauges onto its snapshot AFTER Snapshot(), so these only carry
-  /// the summed gauges of merged-in shard snapshots).
-  int64_t merged_score_cache_entries_ = 0;
-  int64_t merged_score_cache_bytes_ = 0;
-  int64_t merged_encoding_cache_entries_ = 0;
-  int64_t merged_encoding_cache_bytes_ = 0;
-  int64_t merged_gate_cache_entries_ = 0;
-  int64_t merged_gate_cache_bytes_ = 0;
-  /// Slate-scoring counters and the rerank-stage latency reservoir
-  /// (capped at kMaxSamples with its own lifetime count, like the
-  /// score-cache split reservoirs).
-  int64_t slates_ = 0;
-  int64_t slate_items_ = 0;
-  int64_t slates_le10_ = 0;
-  int64_t slates_le25_ = 0;
-  int64_t slates_le50_ = 0;
-  int64_t slates_gt50_ = 0;
-  std::vector<double> rerank_samples_ms_;
-  int64_t rerank_count_ = 0;
-  int64_t snapshot_leases_ = 0;
-  int64_t active_lanes_total_ = 0;  // Sum of per-lease samples; mean numerator.
-  int64_t max_active_lanes_ = 0;
-  /// Engine-wide drift totals (per-version counters live in the health
-  /// windows; these survive version trims and merge across shards).
-  int64_t drift_sessions_ = 0;
-  int64_t drift_engaged_ = 0;
-  /// Keyed by (model, version), so one model's versions are contiguous
-  /// and ascending; lane_leases sized on first use per lane. Trimmed to
-  /// the newest kMaxVersionsPerModel versions per model on insert.
-  std::map<std::pair<std::string, int64_t>, std::vector<int64_t>>
-      version_lane_leases_;
-  /// Health windows, keyed and trimmed exactly like version_lane_leases_
-  /// (newest kMaxVersionsPerModel versions per model survive).
-  std::map<std::pair<std::string, int64_t>, HealthWindow> version_health_;
-  uint64_t reservoir_rng_ = 0x9E3779B97F4A7C15ull;
-  bool wall_started_ = false;  // Clock starts at the first request.
-  double wall_offset_s_ = 0.0;  // First request's own service time.
+  State state_;
+  uint64_t reservoir_rng_ = 0x9E3779B97F4A7C15ull;  // Survives Reset.
   Stopwatch wall_;
-  /// Largest wall window merged in via MergeFrom; the snapshot's QPS
-  /// window is max(own wall, merged wall) so an idle aggregation sink
-  /// reports the sources' observed window instead of 0.
-  double merged_wall_s_ = 0.0;
 };
 
 }  // namespace awmoe

@@ -81,6 +81,16 @@ TEST(KernelsTest, ElementwiseOps) {
   Matrix product = x;
   MulInto(MatrixView(product), MatrixView(y), MutableView(&product));
   ExpectSameBits(product, Mul(x, y));
+  // AddInto likewise, with out == a and with out == b.
+  Matrix sum_a = x;
+  AddInto(MatrixView(sum_a), MatrixView(y), MutableView(&sum_a));
+  ExpectSameBits(sum_a, Add(x, y));
+  Matrix sum_b = y;
+  AddInto(MatrixView(x), MatrixView(sum_b), MutableView(&sum_b));
+  ExpectSameBits(sum_b, Add(x, y));
+  Matrix accumulated = x;
+  AddInPlace(&accumulated, y);
+  ExpectSameBits(accumulated, Add(x, y));
 }
 
 TEST(KernelsTest, InPlaceOps) {
@@ -99,6 +109,16 @@ TEST(KernelsTest, ScalarOps) {
                        Matrix::FromVector(1, 3, {2, -1, 4}), 0.0f));
   EXPECT_TRUE(AllClose(MulScalar(a, -2.0f),
                        Matrix::FromVector(1, 3, {-2, 4, -6}), 0.0f));
+  // MulScalarInto with out == a gives MulScalar's bits, as does
+  // ScaleInPlace.
+  Rng rng(9);
+  Matrix x = RandomMatrix(4, 3, &rng);
+  Matrix scaled = x;
+  MulScalarInto(MatrixView(scaled), 0.37f, MutableView(&scaled));
+  ExpectSameBits(scaled, MulScalar(x, 0.37f));
+  Matrix in_place = x;
+  ScaleInPlace(&in_place, 0.37f);
+  ExpectSameBits(in_place, MulScalar(x, 0.37f));
 }
 
 TEST(KernelsTest, ReluAndBackward) {

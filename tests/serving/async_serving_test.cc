@@ -17,16 +17,16 @@
 #include "data/batcher.h"
 #include "data/jd_synthetic.h"
 #include "serving/model_pool.h"
-#include "serving/ranking_service.h"
 #include "serving/request.h"
 #include "serving/serving_engine.h"
 #include "serving/serving_stats.h"
+#include "support/graph_reference.h"
 
 namespace awmoe {
 namespace {
 
 // The async suite cross-checks engine scores against the synchronous
-// legacy RankingService bitwise, so it pins the reference kernel tier
+// Var-graph reference bitwise, so it pins the reference kernel tier
 // (fast-tier agreement is epsilon-bounded; see kernel_tier_test.cc).
 const bool kPinnedReferenceTier = [] {
   SetKernelTier(KernelTier::kReference);
@@ -107,16 +107,15 @@ std::vector<std::vector<const Example*>>* AsyncServingTest::sessions_ =
     nullptr;
 
 // ---------------------------------------------------------------------
-// Bitwise equivalence to the synchronous legacy path under contention.
+// Bitwise equivalence to the synchronous graph path under contention.
 // ---------------------------------------------------------------------
 
-TEST_F(AsyncServingTest, ConcurrentSubmitsMatchLegacyServiceBitwise) {
-  // Expected scores from the pre-engine synchronous reference.
-  RankingService legacy(model_, data_->meta, standardizer_,
-                        /*share_gate=*/true);
+TEST_F(AsyncServingTest, ConcurrentSubmitsMatchGraphReferenceBitwise) {
+  // Expected scores from the synchronous Var-graph reference.
   std::vector<std::vector<double>> expected(sessions_->size());
   for (size_t s = 0; s < sessions_->size(); ++s) {
-    expected[s] = legacy.RankSession((*sessions_)[s]);
+    expected[s] = GraphReferenceScores(model_, data_->meta, standardizer_,
+                                       (*sessions_)[s], /*share_gate=*/true);
   }
 
   auto registry_owner = MakeRegistry();
@@ -162,7 +161,7 @@ TEST_F(AsyncServingTest, ConcurrentSubmitsMatchLegacyServiceBitwise) {
   }
   EXPECT_EQ(engine.stats().requests(),
             static_cast<int64_t>(kThreads * kSubmits));
-  EXPECT_EQ(engine.stats().queued_requests(),
+  EXPECT_EQ(engine.Stats().queued_requests,
             static_cast<int64_t>(kThreads * kSubmits));
 }
 
@@ -197,8 +196,8 @@ TEST_F(AsyncServingTest, SubmitCoalescesConcurrentRequestsIntoOneBatch) {
 
   // One forward pass carried both requests: the batch-occupancy
   // counters prove the cross-session amortisation actually happened.
-  EXPECT_EQ(engine.stats().batches(), 1);
-  EXPECT_EQ(engine.stats().max_batch_requests(), 2);
+  EXPECT_EQ(engine.Stats().batches, 1);
+  EXPECT_EQ(engine.Stats().max_batch_requests, 2);
   ServingStatsSnapshot snap = engine.Stats();
   EXPECT_DOUBLE_EQ(snap.mean_batch_requests, 2.0);
   EXPECT_EQ(snap.mean_batch_items,
@@ -237,9 +236,9 @@ TEST_F(AsyncServingTest, LoneSubmitFlushesOnTimeout) {
   EXPECT_GT(response.queue_ms, 0.0);
   EXPECT_GE(response.latency_ms, response.queue_ms);
 
-  EXPECT_EQ(engine.stats().batches(), 1);
-  EXPECT_EQ(engine.stats().max_batch_requests(), 1);
-  EXPECT_EQ(engine.stats().queued_requests(), 1);
+  EXPECT_EQ(engine.Stats().batches, 1);
+  EXPECT_EQ(engine.Stats().max_batch_requests, 1);
+  EXPECT_EQ(engine.Stats().queued_requests, 1);
   EXPECT_GT(engine.Stats().queue_mean_ms, 0.0);
 
   auto reference_registry_owner = MakeRegistry();
@@ -414,12 +413,19 @@ TEST(ServingStatsConcurrencyTest, CountsAndReservoirExactUnderContention) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&stats] {
-      for (int i = 0; i < kPerThread; ++i) {
-        stats.RecordRequest(/*items=*/3, /*latency_ms=*/1.0 + (i % 7));
-        stats.RecordQueueDelay(0.25);
-        if (i % 2 == 0) stats.RecordBatch(/*batch_requests=*/2,
-                                          /*batch_items=*/6);
-        stats.RecordGateLookup(i % 4 == 0);
+      // Micro-batches of two queued requests (6 candidates); every
+      // fourth request hits the gate cache.
+      std::vector<RequestSample> batch(2);
+      for (int i = 0; i < kPerThread; i += 2) {
+        for (int s = 0; s < 2; ++s) {
+          RequestSample& sample = batch[static_cast<size_t>(s)];
+          sample.items = 3;
+          sample.latency_ms = 1.0 + ((i + s) % 7);
+          sample.queue_ms = 0.25;
+          sample.gate_lookup = (i + s) % 4 == 0 ? CacheLookup::kHit
+                                                : CacheLookup::kMiss;
+        }
+        stats.RecordMicroBatch(/*batch_items=*/6, batch);
       }
     });
   }
@@ -427,13 +433,13 @@ TEST(ServingStatsConcurrencyTest, CountsAndReservoirExactUnderContention) {
 
   constexpr int64_t kTotal = int64_t{kThreads} * kPerThread;
   EXPECT_EQ(stats.requests(), kTotal);
-  EXPECT_EQ(stats.items(), 3 * kTotal);
-  EXPECT_EQ(stats.queued_requests(), kTotal);
-  EXPECT_EQ(stats.batches(), kTotal / 2);
-  EXPECT_EQ(stats.max_batch_requests(), 2);
-  EXPECT_EQ(stats.gate_cache_hits(), kTotal / 4);
-  EXPECT_EQ(stats.gate_cache_misses(), kTotal - kTotal / 4);
   ServingStatsSnapshot snap = stats.Snapshot();
+  EXPECT_EQ(snap.items, 3 * kTotal);
+  EXPECT_EQ(snap.queued_requests, kTotal);
+  EXPECT_EQ(snap.batches, kTotal / 2);
+  EXPECT_EQ(snap.max_batch_requests, 2);
+  EXPECT_EQ(snap.gate_cache_hits, kTotal / 4);
+  EXPECT_EQ(snap.gate_cache_misses, kTotal - kTotal / 4);
   EXPECT_DOUBLE_EQ(snap.mean_batch_requests, 2.0);
   EXPECT_DOUBLE_EQ(snap.mean_batch_items, 6.0);
   EXPECT_DOUBLE_EQ(snap.queue_mean_ms, 0.25);
@@ -441,7 +447,9 @@ TEST(ServingStatsConcurrencyTest, CountsAndReservoirExactUnderContention) {
   // The reservoir saturates at exactly kMaxSamples entries — no lost or
   // duplicated slots under contention.
   EXPECT_GT(kTotal, ServingStats::kMaxSamples);
-  EXPECT_GT(stats.LatencyPercentileMs(50.0), 0.0);
+  EXPECT_EQ(static_cast<int64_t>(snap.samples_ms.size()),
+            ServingStats::kMaxSamples);
+  EXPECT_GT(snap.p50_ms, 0.0);
 }
 
 TEST_F(AsyncServingTest, EngineStatsExactAcrossSubmittingThreads) {
@@ -477,8 +485,8 @@ TEST_F(AsyncServingTest, EngineStatsExactAcrossSubmittingThreads) {
   }
   constexpr int64_t kTotal = int64_t{kThreads} * kPerThread;
   EXPECT_EQ(engine.stats().requests(), kTotal);
-  EXPECT_EQ(engine.stats().items(), want_items);
-  EXPECT_EQ(engine.stats().queued_requests(), kTotal);
+  EXPECT_EQ(engine.Stats().items, want_items);
+  EXPECT_EQ(engine.Stats().queued_requests, kTotal);
   // Every request went through some batch; occupancy accounting must
   // add up exactly.
   ServingStatsSnapshot snap = engine.Stats();

@@ -12,17 +12,17 @@
 #include "models/dnn_ranker.h"
 #include "serving/ab_test.h"
 #include "serving/model_pool.h"
-#include "serving/ranking_service.h"
 #include "serving/request.h"
 #include "serving/serving_engine.h"
 #include "serving/serving_stats.h"
+#include "support/graph_reference.h"
 
 namespace awmoe {
 namespace {
 
-// These tests compare engine scores against the legacy Var-graph
-// RankingService bitwise, which only holds on the reference kernel
-// tier (the fast tier is epsilon-bounded; see kernel_tier_test.cc).
+// These tests compare engine scores against the Var-graph reference
+// (support/graph_reference.h) bitwise, which only holds on the reference
+// kernel tier (the fast tier is epsilon-bounded; see kernel_tier_test.cc).
 const bool kPinnedReferenceTier = [] {
   SetKernelTier(KernelTier::kReference);
   return true;
@@ -175,13 +175,11 @@ TEST_F(ServingTest, GroupBySessionInterleavedPreservesWithinSessionOrder) {
 }
 
 // ---------------------------------------------------------------------
-// Engine vs legacy RankingService: the regression anchor. The engine
-// must reproduce the pre-redesign scores bit for bit.
+// Engine vs the Var-graph reference: the regression anchor. The engine
+// must reproduce the graph's scores bit for bit.
 // ---------------------------------------------------------------------
 
-TEST_F(ServingTest, EngineMatchesLegacyServiceBitwisePerItemGate) {
-  RankingService legacy(model_, data_->meta, standardizer_,
-                        /*share_gate=*/false);
+TEST_F(ServingTest, EngineMatchesGraphReferenceBitwisePerItemGate) {
   auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
   ServingEngineOptions options;
@@ -190,7 +188,8 @@ TEST_F(ServingTest, EngineMatchesLegacyServiceBitwisePerItemGate) {
 
   auto sessions = GroupBySession(data_->full_test);
   for (const auto& session : sessions) {
-    std::vector<double> expected = legacy.RankSession(session);
+    std::vector<double> expected = GraphReferenceScores(
+        model_, data_->meta, standardizer_, session, /*share_gate=*/false);
     RankRequest request;
     request.session_id = session[0]->session_id;
     request.items = session;
@@ -203,10 +202,7 @@ TEST_F(ServingTest, EngineMatchesLegacyServiceBitwisePerItemGate) {
   }
 }
 
-TEST_F(ServingTest, EngineMatchesLegacyServiceBitwiseSharedGate) {
-  RankingService legacy(model_, data_->meta, standardizer_,
-                        /*share_gate=*/true);
-  ASSERT_TRUE(legacy.gate_sharing_active());
+TEST_F(ServingTest, EngineMatchesGraphReferenceBitwiseSharedGate) {
   auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
   ServingEngine engine(&registry);
@@ -214,7 +210,8 @@ TEST_F(ServingTest, EngineMatchesLegacyServiceBitwiseSharedGate) {
 
   auto sessions = GroupBySession(data_->full_test);
   for (const auto& session : sessions) {
-    std::vector<double> expected = legacy.RankSession(session);
+    std::vector<double> expected = GraphReferenceScores(
+        model_, data_->meta, standardizer_, session, /*share_gate=*/true);
     RankRequest request;
     request.session_id = session[0]->session_id;
     request.items = session;
@@ -469,11 +466,11 @@ TEST_F(ServingTest, GateCacheCountersTrackHitsAndMisses) {
   request.items = sessions[0];
 
   engine.Rank(request);  // Cold: one miss.
-  EXPECT_EQ(engine.stats().gate_cache_hits(), 0);
-  EXPECT_EQ(engine.stats().gate_cache_misses(), 1);
+  EXPECT_EQ(engine.Stats().gate_cache_hits, 0);
+  EXPECT_EQ(engine.Stats().gate_cache_misses, 1);
   engine.Rank(request);  // Repeat: one hit.
-  EXPECT_EQ(engine.stats().gate_cache_hits(), 1);
-  EXPECT_EQ(engine.stats().gate_cache_misses(), 1);
+  EXPECT_EQ(engine.Stats().gate_cache_hits, 1);
+  EXPECT_EQ(engine.Stats().gate_cache_misses, 1);
 
   // Same session id, changed gate context: the invalidation re-probe
   // counts as a miss, not a hit.
@@ -482,15 +479,15 @@ TEST_F(ServingTest, GateCacheCountersTrackHitsAndMisses) {
   grown_request.session_id = request.session_id;
   for (const Example& ex : grown) grown_request.items.push_back(&ex);
   engine.Rank(grown_request);
-  EXPECT_EQ(engine.stats().gate_cache_hits(), 1);
-  EXPECT_EQ(engine.stats().gate_cache_misses(), 2);
+  EXPECT_EQ(engine.Stats().gate_cache_hits, 1);
+  EXPECT_EQ(engine.Stats().gate_cache_misses, 2);
 
   ServingStatsSnapshot snap = engine.Stats();
   EXPECT_EQ(snap.gate_cache_hits, 1);
   EXPECT_EQ(snap.gate_cache_misses, 2);
   engine.ResetStats();
-  EXPECT_EQ(engine.stats().gate_cache_hits(), 0);
-  EXPECT_EQ(engine.stats().gate_cache_misses(), 0);
+  EXPECT_EQ(engine.Stats().gate_cache_hits, 0);
+  EXPECT_EQ(engine.Stats().gate_cache_misses, 0);
 }
 
 TEST_F(ServingTest, GateCacheEvictionShowsUpInMissCounters) {
@@ -513,8 +510,8 @@ TEST_F(ServingTest, GateCacheEvictionShowsUpInMissCounters) {
   rank(2);  // miss (cold), evicts 1
   rank(1);  // miss (evicted), evicts 0
   rank(2);  // hit
-  EXPECT_EQ(engine.stats().gate_cache_hits(), 2);
-  EXPECT_EQ(engine.stats().gate_cache_misses(), 4);
+  EXPECT_EQ(engine.Stats().gate_cache_hits, 2);
+  EXPECT_EQ(engine.Stats().gate_cache_misses, 4);
 }
 
 TEST_F(ServingTest, GateCacheDisabledCountsEveryLookupAsMiss) {
@@ -530,8 +527,8 @@ TEST_F(ServingTest, GateCacheDisabledCountsEveryLookupAsMiss) {
   request.items = sessions[0];
   engine.Rank(request);
   engine.Rank(request);
-  EXPECT_EQ(engine.stats().gate_cache_hits(), 0);
-  EXPECT_EQ(engine.stats().gate_cache_misses(), 2);
+  EXPECT_EQ(engine.Stats().gate_cache_hits, 0);
+  EXPECT_EQ(engine.Stats().gate_cache_misses, 2);
 }
 
 // ---------------------------------------------------------------------
@@ -769,7 +766,7 @@ TEST_F(ServingTest, ScoreCacheInvalidatesOnHistoryChange) {
   request.items = sessions[0];
   EXPECT_FALSE(engine.Rank(request).score_cache_hit);
   EXPECT_TRUE(engine.Rank(request).score_cache_hit);
-  EXPECT_EQ(engine.stats().score_cache_invalidations(), 0);
+  EXPECT_EQ(engine.Stats().score_cache_invalidations, 0);
 
   // The user clicked between requests: same items, grown history. The
   // cached scores are stale and a real forward must run.
@@ -780,7 +777,7 @@ TEST_F(ServingTest, ScoreCacheInvalidatesOnHistoryChange) {
   RankResponse fresh = engine.Rank(grown_request);
   EXPECT_FALSE(fresh.score_cache_hit);
   EXPECT_GE(fresh.replica, 0);
-  EXPECT_EQ(engine.stats().score_cache_invalidations(), 1);
+  EXPECT_EQ(engine.Stats().score_cache_invalidations, 1);
 
   // The recomputed scores match an engine that never saw the old state.
   auto clean_owner = MakeRegistry();
@@ -827,11 +824,11 @@ TEST_F(ServingTest, ScoreCacheCountersAndGaugesTrack) {
   request.items = sessions[0];
 
   engine.Rank(request);  // Cold: one miss.
-  EXPECT_EQ(engine.stats().score_cache_hits(), 0);
-  EXPECT_EQ(engine.stats().score_cache_misses(), 1);
+  EXPECT_EQ(engine.Stats().score_cache_hits, 0);
+  EXPECT_EQ(engine.Stats().score_cache_misses, 1);
   engine.Rank(request);  // Repeat: one hit.
-  EXPECT_EQ(engine.stats().score_cache_hits(), 1);
-  EXPECT_EQ(engine.stats().score_cache_misses(), 1);
+  EXPECT_EQ(engine.Stats().score_cache_hits, 1);
+  EXPECT_EQ(engine.Stats().score_cache_misses, 1);
 
   ServingStatsSnapshot snap = engine.Stats();
   EXPECT_EQ(snap.score_cache_hits, 1);
@@ -870,8 +867,8 @@ TEST_F(ServingTest, ScoreCacheDisabledNeverHits) {
   RankResponse second = engine.Rank(request);
   EXPECT_FALSE(second.score_cache_hit);
   EXPECT_GE(second.replica, 0);
-  EXPECT_EQ(engine.stats().score_cache_hits(), 0);
-  EXPECT_EQ(engine.stats().score_cache_misses(), 0);  // No lookups at all.
+  EXPECT_EQ(engine.Stats().score_cache_hits, 0);
+  EXPECT_EQ(engine.Stats().score_cache_misses, 0);  // No lookups at all.
 }
 
 TEST_F(ServingTest, EncodingCacheHitsOnNewCandidatesSameSession) {
@@ -911,7 +908,7 @@ TEST_F(ServingTest, EncodingCacheHitsOnNewCandidatesSameSession) {
   EXPECT_FALSE(second.score_cache_hit);  // New candidates.
   EXPECT_TRUE(second.encoding_cache_hit);
   EXPECT_TRUE(second.gate_cache_hit);
-  EXPECT_EQ(engine.stats().encoding_cache_hits(), 1);
+  EXPECT_EQ(engine.Stats().encoding_cache_hits, 1);
 
   // The encoding-replay scores are bitwise-equal to a cold engine's.
   auto clean_owner = MakeRegistry();
@@ -1052,50 +1049,55 @@ TEST_F(ServingTest, TwoModelsInOneEngineScoreIndependently) {
 // ServingStats.
 // ---------------------------------------------------------------------
 
+// One served request of `items` candidates, as the engine records it.
+RequestSample Served(int64_t items, double latency_ms) {
+  RequestSample sample;
+  sample.items = items;
+  sample.latency_ms = latency_ms;
+  return sample;
+}
+
+// Requests of `items` candidates at 1, 2, ..., n ms, plus `offset` ms.
+std::vector<RequestSample> Ramp(int n, int64_t items, int offset = 0) {
+  std::vector<RequestSample> samples;
+  for (int ms = 1; ms <= n; ++ms) {
+    samples.push_back(Served(items, static_cast<double>(ms + offset)));
+  }
+  return samples;
+}
+
 TEST(ServingStatsTest, PercentilesAreExactOverSamples) {
   ServingStats stats;
   // 1..100 ms, shuffled order must not matter.
-  for (int ms = 100; ms >= 1; --ms) {
-    stats.RecordRequest(/*items=*/2, static_cast<double>(ms));
-  }
+  std::vector<RequestSample> samples = Ramp(100, /*items=*/2);
+  std::reverse(samples.begin(), samples.end());
+  stats.RecordMicroBatch(/*batch_items=*/200, samples);
   EXPECT_EQ(stats.requests(), 100);
-  EXPECT_EQ(stats.sessions(), 100);  // Backward-compatible alias.
-  EXPECT_EQ(stats.items(), 200);
-  EXPECT_DOUBLE_EQ(stats.MeanSessionLatencyMs(), 50.5);
-  EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(50.0), 50.0);
-  EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(95.0), 95.0);
-  EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(99.0), 99.0);
-  EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(100.0), 100.0);
   ServingStatsSnapshot snap = stats.Snapshot();
+  EXPECT_EQ(snap.items, 200);
   EXPECT_DOUBLE_EQ(snap.p50_ms, 50.0);
   EXPECT_DOUBLE_EQ(snap.p95_ms, 95.0);
   EXPECT_DOUBLE_EQ(snap.p99_ms, 99.0);
+  EXPECT_DOUBLE_EQ(snap.samples_ms.back(), 100.0);  // The p100 rank.
   EXPECT_DOUBLE_EQ(snap.mean_ms, 50.5);
   EXPECT_GT(snap.qps, 0.0);
   stats.Reset();
+  snap = stats.Snapshot();
   EXPECT_EQ(stats.requests(), 0);
-  EXPECT_DOUBLE_EQ(stats.MeanSessionLatencyMs(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(99.0), 0.0);
+  EXPECT_DOUBLE_EQ(snap.mean_ms, 0.0);
+  EXPECT_DOUBLE_EQ(snap.p99_ms, 0.0);
 }
 
 TEST(ServingStatsTest, MergeFromEqualsRecordingTheUnion) {
   // Two disjoint shards...
   ServingStats a;
   ServingStats b;
-  for (int ms = 1; ms <= 50; ++ms) {
-    a.RecordRequest(/*items=*/2, static_cast<double>(ms));
-  }
-  for (int ms = 51; ms <= 100; ++ms) {
-    b.RecordRequest(/*items=*/3, static_cast<double>(ms));
-  }
+  a.RecordMicroBatch(/*batch_items=*/100, Ramp(50, /*items=*/2));
+  b.RecordMicroBatch(/*batch_items=*/150, Ramp(50, /*items=*/3, 50));
   // ...and one stats object that saw every request directly.
   ServingStats direct;
-  for (int ms = 1; ms <= 50; ++ms) {
-    direct.RecordRequest(2, static_cast<double>(ms));
-  }
-  for (int ms = 51; ms <= 100; ++ms) {
-    direct.RecordRequest(3, static_cast<double>(ms));
-  }
+  direct.RecordMicroBatch(100, Ramp(50, 2));
+  direct.RecordMicroBatch(150, Ramp(50, 3, 50));
 
   ServingStats merged;
   merged.MergeFrom(a.Snapshot());
@@ -1117,17 +1119,21 @@ TEST(ServingStatsTest, MergeFromEqualsRecordingTheUnion) {
 }
 
 TEST(ServingStatsTest, MergeFromPoolsCountersNotAverages) {
+  // Shard a: one forward of 4 requests / 40 candidates; one request
+  // waited 2 ms in the queue and hit the gate cache.
   ServingStats a;
-  a.RecordRequest(1, 1.0);
-  a.RecordBatch(/*batch_requests=*/4, /*batch_items=*/40);
-  a.RecordQueueDelay(2.0);
-  a.RecordGateLookup(/*hit=*/true);
+  std::vector<RequestSample> a_batch(4, Served(10, 1.0));
+  a_batch[0].queue_ms = 2.0;
+  a_batch[0].gate_lookup = CacheLookup::kHit;
+  a.RecordMicroBatch(/*batch_items=*/40, a_batch);
+  // Shard b: two single-request forwards of 5 candidates; one request
+  // waited 6 ms and missed the gate cache.
   ServingStats b;
-  b.RecordRequest(1, 3.0);
-  b.RecordBatch(/*batch_requests=*/1, /*batch_items=*/5);
-  b.RecordBatch(/*batch_requests=*/1, /*batch_items=*/5);
-  b.RecordQueueDelay(6.0);
-  b.RecordGateLookup(/*hit=*/false);
+  RequestSample queued = Served(5, 3.0);
+  queued.queue_ms = 6.0;
+  queued.gate_lookup = CacheLookup::kMiss;
+  b.RecordMicroBatch(/*batch_items=*/5, {queued});
+  b.RecordMicroBatch(/*batch_items=*/5, {Served(5, 3.0)});
 
   ServingStats merged;
   merged.MergeFrom(a.Snapshot());
@@ -1155,8 +1161,8 @@ TEST(ServingStatsTest, MergeFromTakesMaxWallClockForQps) {
   ServingStats a;
   ServingStats b;
   for (int i = 0; i < 10; ++i) {
-    a.RecordRequest(1, 1.0);
-    b.RecordRequest(1, 1.0);
+    a.RecordMicroBatch(/*batch_items=*/1, {Served(1, 1.0)});
+    b.RecordMicroBatch(/*batch_items=*/1, {Served(1, 1.0)});
   }
   const ServingStatsSnapshot sa = a.Snapshot();
   const ServingStatsSnapshot sb = b.Snapshot();
@@ -1175,6 +1181,88 @@ TEST(ServingStatsTest, MergeFromTakesMaxWallClockForQps) {
   }
 }
 
+// Past kMaxSamples each of the four reservoirs (requests, score hits,
+// score misses, rerank) keeps exactly kMaxSamples samples, picked by
+// Algorithm R from the one xorshift stream all four draw from in record
+// order. The golden sums and percentiles pin that selection for this
+// exact record sequence, so a change to the draw order or to the
+// replacement rule shows up here. Latencies are multiples of 1/8 ms, so
+// the sums are exact.
+TEST(ServingStatsTest, ReservoirsPastTheCapHoldKMaxSamplesEach) {
+  constexpr int64_t kMax = ServingStats::kMaxSamples;
+  constexpr int64_t kSamples = 2 * kMax + 2 * 8192;  // Half hit, half miss.
+  const CacheLookup score[] = {CacheLookup::kMiss, CacheLookup::kHit,
+                               CacheLookup::kStale, CacheLookup::kHit};
+  const CacheLookup gate[] = {CacheLookup::kHit, CacheLookup::kMiss,
+                              CacheLookup::kStale};
+  const CacheLookup encoding[] = {CacheLookup::kNone, CacheLookup::kMiss,
+                                  CacheLookup::kHit, CacheLookup::kStale,
+                                  CacheLookup::kHit};
+  ServingStats stats;
+  std::vector<RequestSample> batch(2);
+  for (int64_t b = 0; b < kSamples / 2; ++b) {
+    for (int64_t s = 0; s < 2; ++s) {
+      const int64_t j = 2 * b + s;
+      RequestSample& sample = batch[static_cast<size_t>(s)];
+      sample = Served(1 + j % 7, static_cast<double>(j * 37 % 1000) / 8.0 +
+                                     0.125);
+      if (j % 2 == 0) sample.queue_ms = 0.5;
+      sample.score_lookup = score[j % 4];
+      sample.gate_lookup = gate[j % 3];
+      sample.encoding_lookup = encoding[j % 5];
+    }
+    stats.RecordMicroBatch(/*batch_items=*/b % 9 + 2, batch);
+    const int64_t slate_sizes[] = {b % 60 + 1, b % 13 + 40};
+    stats.RecordSlateBatch(slate_sizes,
+                           static_cast<double>(b * 53 % 977) / 4.0);
+  }
+  const ServingStatsSnapshot snap = stats.Snapshot();
+
+  // Counts stay exact past the cap; a stale gate row is a plain miss.
+  EXPECT_EQ(snap.requests, kSamples);
+  EXPECT_EQ(snap.items, 589821);
+  EXPECT_EQ(snap.batches, kSamples / 2);
+  EXPECT_DOUBLE_EQ(snap.mean_batch_items, 6.0);
+  EXPECT_EQ(snap.queued_requests, kSamples / 2);
+  EXPECT_EQ(snap.score_cache_hits, kSamples / 2);
+  EXPECT_EQ(snap.score_cache_misses, kSamples / 2);
+  EXPECT_EQ(snap.score_cache_invalidations, kSamples / 4);
+  EXPECT_EQ(snap.gate_cache_hits, kSamples / 3);
+  EXPECT_EQ(snap.gate_cache_misses, kSamples - kSamples / 3);
+  EXPECT_EQ(snap.encoding_cache_hits, 58982);
+  EXPECT_EQ(snap.encoding_cache_misses, 58982);
+  EXPECT_EQ(snap.encoding_cache_invalidations, 29491);
+  EXPECT_EQ(snap.slates, kSamples);
+  EXPECT_EQ(snap.slate_items, 5639884);
+  EXPECT_EQ(snap.slates_le10, 12290);
+  EXPECT_EQ(snap.slates_le25, 18435);
+  EXPECT_EQ(snap.slates_le50, 93109);
+  EXPECT_EQ(snap.slates_gt50, 23622);
+
+  auto sum = [](const std::vector<double>& samples) {
+    double total = 0.0;
+    for (double ms : samples) total += ms;
+    return total;
+  };
+  ASSERT_EQ(static_cast<int64_t>(snap.samples_ms.size()), kMax);
+  ASSERT_EQ(static_cast<int64_t>(snap.score_hit_samples_ms.size()), kMax);
+  ASSERT_EQ(static_cast<int64_t>(snap.score_miss_samples_ms.size()), kMax);
+  ASSERT_EQ(static_cast<int64_t>(snap.rerank_samples_ms.size()), kMax);
+  EXPECT_EQ(sum(snap.samples_ms), 4092692.875);
+  EXPECT_EQ(snap.p50_ms, 62.375);
+  EXPECT_EQ(snap.p95_ms, 118.75);
+  EXPECT_EQ(snap.p99_ms, 123.75);
+  EXPECT_EQ(sum(snap.score_hit_samples_ms), 4104934.75);
+  EXPECT_EQ(snap.score_hit_p50_ms, 62.75);
+  EXPECT_EQ(snap.score_hit_p99_ms, 123.75);
+  EXPECT_EQ(sum(snap.score_miss_samples_ms), 4096944.25);
+  EXPECT_EQ(snap.score_miss_p50_ms, 62.375);
+  EXPECT_EQ(snap.score_miss_p99_ms, 123.625);
+  EXPECT_EQ(sum(snap.rerank_samples_ms), 7994991.25);
+  EXPECT_EQ(snap.rerank_p50_ms, 122.0);
+  EXPECT_EQ(snap.rerank_p99_ms, 241.75);
+}
+
 TEST_F(ServingTest, EngineStatsAccumulatePerRequest) {
   auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
@@ -1184,7 +1272,7 @@ TEST_F(ServingTest, EngineStatsAccumulatePerRequest) {
       {sessions.begin(), sessions.begin() + 3});
   engine.RankBatch(requests);
   EXPECT_EQ(engine.stats().requests(), 3);
-  EXPECT_EQ(engine.stats().items(),
+  EXPECT_EQ(engine.Stats().items,
             static_cast<int64_t>(sessions[0].size() + sessions[1].size() +
                                  sessions[2].size()));
   EXPECT_GT(engine.stats().total_ms(), 0.0);
@@ -1412,15 +1500,15 @@ TEST_F(ServingTest, HistoryChangeCountsEveryCacheLevelExactly) {
   EXPECT_TRUE(paged.gate_cache_hit);
   EXPECT_TRUE(paged.encoding_cache_hit);
 
-  const ServingStats& stats = engine.stats();
-  EXPECT_EQ(stats.score_cache_hits(), 1);
-  EXPECT_EQ(stats.score_cache_misses(), 3);
-  EXPECT_EQ(stats.score_cache_invalidations(), 1);
-  EXPECT_EQ(stats.gate_cache_hits(), 1);
-  EXPECT_EQ(stats.gate_cache_misses(), 2);
-  EXPECT_EQ(stats.encoding_cache_hits(), 1);
-  EXPECT_EQ(stats.encoding_cache_misses(), 2);
-  EXPECT_EQ(stats.encoding_cache_invalidations(), 1);
+  const ServingStatsSnapshot stats = engine.Stats();
+  EXPECT_EQ(stats.score_cache_hits, 1);
+  EXPECT_EQ(stats.score_cache_misses, 3);
+  EXPECT_EQ(stats.score_cache_invalidations, 1);
+  EXPECT_EQ(stats.gate_cache_hits, 1);
+  EXPECT_EQ(stats.gate_cache_misses, 2);
+  EXPECT_EQ(stats.encoding_cache_hits, 1);
+  EXPECT_EQ(stats.encoding_cache_misses, 2);
+  EXPECT_EQ(stats.encoding_cache_invalidations, 1);
 
   // Every score is bitwise what an engine with no caches computes.
   ServingEngineOptions off;

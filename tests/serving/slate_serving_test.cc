@@ -174,8 +174,8 @@ TEST_F(SlateServingTest, ScoreCacheBypassedForSlateScoringModel) {
   EXPECT_EQ(hit.replica, -1);
 
   // Each listwise Rank was one single-slate micro-batch.
-  EXPECT_EQ(engine.stats().slates(), 2);
-  EXPECT_EQ(engine.stats().slate_items(), 2 * ItemsOf(0));
+  EXPECT_EQ(engine.Stats().slates, 2);
+  EXPECT_EQ(engine.Stats().slate_items, 2 * ItemsOf(0));
 }
 
 // ---------------------------------------------------------------------
@@ -216,7 +216,7 @@ TEST_F(SlateServingTest, OversizedSlateRejectedNotAborted) {
   EXPECT_TRUE(responses[2].status.ok()) << responses[2].status;
   EXPECT_EQ(responses[2].scores.size(), mixed[2].items.size());
   // Only the served slates hit the counters.
-  EXPECT_EQ(engine.stats().slates(), 2);
+  EXPECT_EQ(engine.Stats().slates, 2);
 
   // Async front: rejected before occupying queue space, future resolves
   // with the same status.
@@ -295,7 +295,7 @@ TEST_F(SlateServingTest, ConcurrentSlateSubmitsMatchSoloRankBitwise) {
     }
   }
   // Every submit was slate-scored exactly once (no cache shortcuts).
-  EXPECT_EQ(engine.stats().slates(),
+  EXPECT_EQ(engine.Stats().slates,
             static_cast<int64_t>(kThreads * kSubmits));
 }
 
