@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verify plus a serving smoke run. The four CI jobs are exactly
-# the four invocations below.
+# Tier-1 verify plus a serving smoke run. The five CI jobs are exactly
+# the five invocations below.
 #
 # Usage:
 #   scripts/check.sh [build_dir]           # full build + ctest + perfbench
@@ -12,6 +12,9 @@
 #                                          # serving, model, mat and autograd
 #                                          # suites (snapshot lifetime /
 #                                          # use-after-free, kernel bounds)
+#   scripts/check.sh --ubsan [build_dir]   # UndefinedBehaviorSanitizer build
+#                                          # of every suite (the AVX2 kernels
+#                                          # included)
 #   scripts/check.sh --werror [build_dir]  # warnings-hardened build of the
 #                                          # core library (-Wall -Wextra -Werror)
 #
@@ -46,12 +49,16 @@ bench_min_time_flag() {
 
 TSAN=0
 ASAN=0
+UBSAN=0
 WERROR=0
 if [ "${1:-}" = "--tsan" ]; then
   TSAN=1
   shift
 elif [ "${1:-}" = "--asan" ]; then
   ASAN=1
+  shift
+elif [ "${1:-}" = "--ubsan" ]; then
+  UBSAN=1
   shift
 elif [ "${1:-}" = "--werror" ]; then
   WERROR=1
@@ -110,6 +117,27 @@ if [ "$ASAN" = 1 ]; then
     -R "^(serving_|models_|mat_|autograd_)"
 
   echo "== check.sh --asan OK =="
+  exit 0
+fi
+
+if [ "$UBSAN" = 1 ]; then
+  BUILD_DIR="${1:-$REPO_ROOT/build-ubsan}"
+  echo "== configure (UndefinedBehaviorSanitizer) =="
+  cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DAWMOE_UBSAN=ON \
+    -DAWMOE_BUILD_BENCHES=OFF -DAWMOE_BUILD_EXAMPLES=OFF \
+    "${CMAKE_LAUNCHER_ARGS[@]}"
+
+  echo "== build (tests only) =="
+  cmake --build "$BUILD_DIR" -j "$(nproc)"
+
+  # UBSan is cheap enough to run every suite: the kernels (both tiers,
+  # the AVX2 tail masks and strided operands included), the training
+  # graph, data generation and the serving stack.
+  echo "== ctest (every suite under UBSan) =="
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+  echo "== check.sh --ubsan OK =="
   exit 0
 fi
 

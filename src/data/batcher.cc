@@ -60,6 +60,16 @@ Batch CollateBatch(const std::vector<const Example*>& examples,
   batch.numeric = Matrix(b, meta.numeric_dim);
   batch.labels = Matrix(b, 1);
 
+  // Every embedding id is copied through `known`: one at or above its
+  // table's vocabulary becomes 0 = unknown (and is counted) instead of
+  // indexing past the table.
+  int64_t unknown_ids = 0;
+  auto known = [&unknown_ids](int64_t id, int64_t vocab) {
+    if (id < vocab) return id;
+    ++unknown_ids;
+    return int64_t{0};
+  };
+
   batch.target_items.reserve(b);
   batch.target_cats.reserve(b);
   batch.target_brands.reserve(b);
@@ -84,11 +94,11 @@ Batch CollateBatch(const std::vector<const Example*>& examples,
     }
     for (int64_t j = 0; j < len; ++j) {
       batch.behavior_items[static_cast<size_t>(i * m + j)] =
-          ex.behavior_items[static_cast<size_t>(j)];
+          known(ex.behavior_items[static_cast<size_t>(j)], meta.num_items);
       batch.behavior_cats[static_cast<size_t>(i * m + j)] =
-          ex.behavior_cats[static_cast<size_t>(j)];
+          known(ex.behavior_cats[static_cast<size_t>(j)], meta.num_cats);
       batch.behavior_brands[static_cast<size_t>(i * m + j)] =
-          ex.behavior_brands[static_cast<size_t>(j)];
+          known(ex.behavior_brands[static_cast<size_t>(j)], meta.num_brands);
       batch.behavior_mask(i, j) = 1.0f;
       if (has_attrs) {
         for (int64_t c = 0; c < Example::kItemAttrs; ++c) {
@@ -101,13 +111,13 @@ Batch CollateBatch(const std::vector<const Example*>& examples,
     for (int64_t c = 0; c < Example::kItemAttrs; ++c) {
       batch.target_attrs(i, c) = ex.target_attrs[c];
     }
-    batch.target_items.push_back(ex.target_item);
-    batch.target_cats.push_back(ex.target_cat);
-    batch.target_brands.push_back(ex.target_brand);
-    batch.target_shops.push_back(ex.target_shop);
-    batch.query_ids.push_back(ex.query_id);
-    batch.query_cats.push_back(ex.query_cat);
-    batch.age_segments.push_back(ex.age_segment);
+    batch.target_items.push_back(known(ex.target_item, meta.num_items));
+    batch.target_cats.push_back(known(ex.target_cat, meta.num_cats));
+    batch.target_brands.push_back(known(ex.target_brand, meta.num_brands));
+    batch.target_shops.push_back(known(ex.target_shop, meta.num_shops));
+    batch.query_ids.push_back(known(ex.query_id, meta.query_vocab()));
+    batch.query_cats.push_back(known(ex.query_cat, meta.num_cats));
+    batch.age_segments.push_back(known(ex.age_segment, meta.age_vocab()));
     batch.session_ids.push_back(ex.session_id);
     batch.user_ids.push_back(ex.user_id);
     batch.user_groups.push_back(ex.user_group);
@@ -122,6 +132,7 @@ Batch CollateBatch(const std::vector<const Example*>& examples,
       batch.numeric(i, j) = numeric[static_cast<size_t>(j)];
     }
   }
+  batch.unknown_ids = unknown_ids;
   return batch;
 }
 

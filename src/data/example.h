@@ -109,6 +109,12 @@ struct DatasetMeta {
   /// True when there is no query and the gate network should receive the
   /// target item instead (paper §IV-A2, Amazon mode).
   bool recommendation_mode = false;
+
+  /// Embedding-table sizes of the query and age-segment ids: a
+  /// recommendation dataset still carries one (padding) query row, and
+  /// the age table keeps 0 for unknown ahead of the segments.
+  int64_t query_vocab() const { return num_queries > 1 ? num_queries : 1; }
+  int64_t age_vocab() const { return num_age_segments + 1; }
 };
 
 /// A padded, column-layout minibatch ready for model consumption.
@@ -152,6 +158,12 @@ struct Batch {
   /// Empty when the producer tracked no slates; consumers then fall
   /// back to deriving runs via SlateStartsFromBatch.
   std::vector<int64_t> slate_starts;
+
+  /// Embedding ids at or above their DatasetMeta vocabulary that
+  /// CollateBatch mapped to the 0 = unknown bucket (an item newer than
+  /// the model, say). Negative ids are not mapped: serving admission
+  /// rejects them.
+  int64_t unknown_ids = 0;
 
   /// Ids at sequence position `j` across the batch: [size] values.
   std::vector<int64_t> BehaviorColumn(const std::vector<int64_t>& field,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "mat/kernel_tier.h"
+
 namespace awmoe {
 
 namespace {
@@ -38,18 +40,7 @@ void MatMulViewInto(const ConstMatView& a, const ConstMatView& b,
       << b.cols;
   AWMOE_CHECK(out.rows == a.rows && out.cols == b.cols)
       << "MatMul: out " << out.rows << "x" << out.cols;
-  const int64_t m = a.rows, k = a.cols, n = b.cols;
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* crow = out.row(i);
-    std::fill(crow, crow + n, 0.0f);
-    for (int64_t p = 0; p < k; ++p) {
-      const float aip = arow[p];
-      if (aip == 0.0f) continue;
-      const float* brow = b.row(p);
-      for (int64_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
-    }
-  }
+  ActiveKernels().matmul(a, b, out);
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -61,18 +52,8 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   AWMOE_CHECK(a.rows() == b.rows())
       << "MatMulTransA: " << a.ShapeString() << "^T * " << b.ShapeString();
-  const int64_t k = a.rows(), m = a.cols(), n = b.cols();
-  Matrix c(m, n);
-  for (int64_t p = 0; p < k; ++p) {
-    const float* arow = a.row(p);
-    const float* brow = b.row(p);
-    for (int64_t i = 0; i < m; ++i) {
-      const float api = arow[i];
-      if (api == 0.0f) continue;
-      float* crow = c.row(i);
-      for (int64_t j = 0; j < n; ++j) crow[j] += api * brow[j];
-    }
-  }
+  Matrix c(a.cols(), b.cols());
+  ActiveKernels().matmul_tn(MatrixView(a), MatrixView(b), MutableView(&c));
   return c;
 }
 
@@ -83,17 +64,7 @@ void MatMulNTViewInto(const ConstMatView& a, const ConstMatView& b,
       << "x" << b.cols << "^T";
   AWMOE_CHECK(out.rows == a.rows && out.cols == b.rows)
       << "MatMulTransB: out " << out.rows << "x" << out.cols;
-  const int64_t m = a.rows, k = a.cols, n = b.rows;
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* crow = out.row(i);
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = b.row(j);
-      float acc = 0.0f;
-      for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] = acc;
-    }
-  }
+  ActiveKernels().matmul_nt(a, b, out);
 }
 
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {

@@ -16,14 +16,19 @@ namespace awmoe {
 // place and end in `InPlace`.
 //
 // ONE LOOP PER OP: an op that both the autograd graph and the graph-free
-// inference path run has exactly one scalar loop, written over views (the
-// last section of this file). Its Matrix form allocates the result and
-// calls that view kernel, and the reference kernel tier (nn/inference.h)
-// dispatches to the same function, so training and the reference tier
-// agree bitwise by construction.
+// inference path run has exactly one loop, written over views (the last
+// section of this file). Its Matrix form allocates the result and calls
+// that view kernel, so training and inference share each loop.
+//
+// The GEMM family is the exception: a product has one loop PER KERNEL
+// TIER, and every product (Matrix or view form) dispatches through the
+// active tier's table (mat/kernel_tier.h). The autograd graph, the
+// inference path and the listwise slate core all multiply through it, so
+// they agree bitwise at each tier; the reference tier's loops are the
+// library's historical scalar arithmetic.
 
 // ---------------------------------------------------------------------------
-// GEMM family.
+// GEMM family (tier-dispatched).
 // ---------------------------------------------------------------------------
 
 /// C = A[m,k] * B[k,n].
@@ -36,6 +41,14 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 /// C = A * B^T where A is [m,k], B is [n,k]; result [m,n]. Avoids forming
 /// the transpose (used for input gradients dX = dY W^T).
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
+
+/// out = a[m,k] * b[k,n] (MatMul) at the active tier.
+void MatMulViewInto(const ConstMatView& a, const ConstMatView& b,
+                    MatView out);
+
+/// out = a[m,k] * b[n,k]^T (MatMulTransB) at the active tier.
+void MatMulNTViewInto(const ConstMatView& a, const ConstMatView& b,
+                      MatView out);
 
 /// A^T.
 Matrix Transpose(const Matrix& a);
@@ -165,16 +178,6 @@ bool AllClose(const Matrix& a, const Matrix& b, float tol);
 
 /// out = src (element copy).
 void CopyInto(const ConstMatView& src, MatView out);
-
-/// out = a[m,k] * b[k,n] (MatMul). Zeroes each out row, then accumulates
-/// in ikj order, skipping zero `a` elements.
-void MatMulViewInto(const ConstMatView& a, const ConstMatView& b,
-                    MatView out);
-
-/// out = a[m,k] * b[n,k]^T (MatMulTransB): one i/j/p dot product per
-/// output element.
-void MatMulNTViewInto(const ConstMatView& a, const ConstMatView& b,
-                      MatView out);
 
 /// out = a[m,n] + bias[1,n] broadcast over rows (AddRowBroadcast).
 /// Aliasing allowed.

@@ -1,11 +1,11 @@
-#ifndef AWMOE_NN_KERNELS_FAST_H_
-#define AWMOE_NN_KERNELS_FAST_H_
+#ifndef AWMOE_MAT_KERNELS_FAST_H_
+#define AWMOE_MAT_KERNELS_FAST_H_
 
-#include "nn/inference.h"
+#include "mat/kernel_tier.h"
 
 namespace awmoe {
 
-// Internal bridge between the dispatch layer (inference.cc, compiled
+// Internal bridge between the dispatch layer (kernel_tier.cc, compiled
 // with the portable baseline flags) and the AVX2/FMA kernel TU
 // (kernels_fast.cc, the ONLY file built with -mavx2 -mfma; CMake
 // scopes the flags to it so the rest of the binary stays runnable on
@@ -21,4 +21,4 @@ const KernelDispatchTable* FastKernelTableOrNull();
 
 }  // namespace awmoe
 
-#endif  // AWMOE_NN_KERNELS_FAST_H_
+#endif  // AWMOE_MAT_KERNELS_FAST_H_

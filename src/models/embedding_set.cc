@@ -8,8 +8,8 @@ EmbeddingSet::EmbeddingSet(const DatasetMeta& meta, int64_t emb_dim, Rng* rng)
       cat_(meta.num_cats, emb_dim, rng),
       brand_(meta.num_brands, emb_dim, rng),
       shop_(meta.num_shops, emb_dim, rng),
-      query_(std::max<int64_t>(meta.num_queries, 1), emb_dim, rng),
-      age_(meta.num_age_segments + 1, emb_dim, rng) {}
+      query_(meta.query_vocab(), emb_dim, rng),
+      age_(meta.age_vocab(), emb_dim, rng) {}
 
 Var EmbeddingSet::ItemTriple(const std::vector<int64_t>& items,
                              const std::vector<int64_t>& cats,

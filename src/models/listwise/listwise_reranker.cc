@@ -171,9 +171,10 @@ void ListwiseReranker::ScoreSlateInto(const Batch& batch,
     layer.wq.InferInto(x, q);
     layer.wk.InferInto(x, k);
     layer.wv.InferInto(x, v);
-    // The slate-local attention core. Strictly scalar kernels in exactly
-    // the graph path's arithmetic order — see the class comment for why
-    // this is the bitwise + composition-independence linchpin.
+    // The slate-local attention core: the graph path's ops in its
+    // arithmetic order, products through the active tier's table — see
+    // the class comment for why this is the bitwise +
+    // composition-independence linchpin.
     for (size_t s = 0; s < slate_starts.size(); ++s) {
       const int64_t begin = slate_starts[s];
       const int64_t len = SlateEnd(slate_starts, s, B) - begin;

@@ -62,11 +62,11 @@ void SlateStartsFromBatch(const Batch& batch, std::vector<int64_t>* starts);
 /// without it). Attention is strictly slate-local: the graph path masks
 /// a block-diagonal [B,B] score matrix (exact zeros off-block), the
 /// workspace path runs each slate's [len,len] core independently —
-/// bitwise-equal at the reference kernel tier, and a slate's scores are
-/// independent of micro-batch composition at every tier (the attention
-/// core is always the scalar slate-local kernels; the row-wise linear
-/// layers are batch-composition-independent in both tiers by the PR 7
-/// contract).
+/// bitwise-equal at each kernel tier (both paths multiply through the
+/// active tier's table), and a slate's scores are independent of
+/// micro-batch composition at every tier (the attention core's products
+/// see only the slate's own rows; the row-wise linear layers are
+/// batch-composition-independent in both tiers).
 class ListwiseReranker : public Ranker {
  public:
   ListwiseReranker(const DatasetMeta& meta, const ModelDims& dims,

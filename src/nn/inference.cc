@@ -10,8 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "nn/kernels_fast.h"
-
 namespace awmoe {
 
 // ---------------------------------------------------------------------
@@ -71,43 +69,7 @@ std::span<float> InferenceWorkspace::Staging(StagingSlot slot, int64_t n) {
   return std::span<float>(buffer.data(), static_cast<size_t>(n));
 }
 
-// ---------------------------------------------------------------------
-// The reference tier: the mat/kernels.h view kernels themselves, adapted
-// to the table's signatures (in place = exact aliasing).
-// ---------------------------------------------------------------------
-
 namespace {
-
-constexpr KernelDispatchTable kReferenceTable = {
-    /*name=*/"reference-scalar",
-    /*bitwise_reference=*/true,
-    /*matmul=*/
-    [](const ConstMatView& a, const Matrix& w, MatView out) {
-      MatMulViewInto(a, MatrixView(w), out);
-    },
-    /*add_bias=*/
-    [](MatView a, const Matrix& bias) {
-      AddRowBroadcastInto(a, MatrixView(bias), a);
-    },
-    /*relu=*/[](MatView a) { ReluInto(a, a); },
-    /*sigmoid_span=*/SigmoidInto,
-};
-
-// ---------------------------------------------------------------------
-// Tier resolution and dispatch state.
-// ---------------------------------------------------------------------
-
-bool CpuSupportsAvx2Fma() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-/// Active tier; -1 = not resolved yet. Benign first-use race: every
-/// resolver computes the same value.
-std::atomic<int> g_active_tier{-1};
 
 /// Row-parallelism thread budget; -1 = not resolved from the
 /// environment yet, 0/1 = off.
@@ -118,52 +80,6 @@ constexpr int kMaxRowThreads = 64;
 constexpr int64_t kMinRowsPerChunk = 16;
 
 }  // namespace
-
-bool FastKernelTierAvailable() {
-  return FastKernelTableOrNull() != nullptr && CpuSupportsAvx2Fma();
-}
-
-KernelTier ResolveKernelTier(const char* force_scalar, bool fast_available) {
-  const bool forced = force_scalar != nullptr && force_scalar[0] != '\0' &&
-                      !(force_scalar[0] == '0' && force_scalar[1] == '\0');
-  if (forced || !fast_available) return KernelTier::kReference;
-  return KernelTier::kFast;
-}
-
-KernelTier ActiveKernelTier() {
-  int tier = g_active_tier.load(std::memory_order_acquire);
-  if (tier < 0) {
-    tier = static_cast<int>(ResolveKernelTier(
-        std::getenv("AWMOE_FORCE_SCALAR"), FastKernelTierAvailable()));
-    g_active_tier.store(tier, std::memory_order_release);
-  }
-  return static_cast<KernelTier>(tier);
-}
-
-void SetKernelTier(KernelTier tier) {
-  if (tier == KernelTier::kFast) {
-    AWMOE_CHECK(FastKernelTierAvailable())
-        << "fast kernel tier not available on this build/CPU";
-  }
-  g_active_tier.store(static_cast<int>(tier), std::memory_order_release);
-}
-
-const char* KernelTierName(KernelTier tier) {
-  return GetKernelTable(tier).name;
-}
-
-const KernelDispatchTable& GetKernelTable(KernelTier tier) {
-  if (tier == KernelTier::kFast) {
-    const KernelDispatchTable* fast = FastKernelTableOrNull();
-    AWMOE_CHECK(fast != nullptr) << "fast kernel tier not compiled in";
-    return *fast;
-  }
-  return kReferenceTable;
-}
-
-const KernelDispatchTable& ActiveKernels() {
-  return GetKernelTable(ActiveKernelTier());
-}
 
 // ---------------------------------------------------------------------
 // Optional intra-batch row parallelism.
@@ -290,7 +206,7 @@ void RunMatMulChunk(void* raw, int chunk) {
                              end - begin, task.a->cols, task.a->stride);
   const MatView out_slice{task.out->data + begin * task.out->stride,
                           end - begin, task.out->cols, task.out->stride};
-  task.table->matmul(a_slice, *task.w, out_slice);
+  task.table->matmul(a_slice, MatrixView(*task.w), out_slice);
 }
 
 }  // namespace
@@ -340,7 +256,7 @@ void MatMulInto(const ConstMatView& a, const Matrix& w, MatView out) {
       return;
     }
   }
-  table.matmul(a, w, out);
+  table.matmul(a, MatrixView(w), out);
 }
 
 void AddBiasInPlace(MatView a, const Matrix& bias) {

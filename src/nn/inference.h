@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "mat/kernel_tier.h"
 #include "mat/kernels.h"
 #include "mat/matrix.h"
 #include "mat/view.h"
@@ -21,30 +22,17 @@ namespace awmoe {
 // caller-provided buffer.
 //
 // KERNEL TIERS: the hot kernels (MatMulInto, ReluInPlace,
-// AddBiasInPlace, SigmoidSpanInto) dispatch through a process-global
-// KernelDispatchTable with two tiers.
-//
-//  - kReference — BITWISE CONTRACT: its table entries are the scalar
-//    view kernels of mat/kernels.h, the same functions the Matrix ops
-//    (and so the autograd ops) call. The module-level InferInto methods
-//    materialise one buffer per op of the original Var expression
-//    instead of fusing, so ScoreInto reproduces InferenceLogits bit for
-//    bit — regression-tested in tests/models/inference_path_test.cc.
-//  - kFast — EPSILON CONTRACT: AVX2/FMA cache-tiled kernels
-//    (src/nn/kernels_fast.cc). FMA contraction and register-blocked
-//    accumulation reassociate the float sums, so results agree with
-//    the reference tier only to an epsilon/ULP bound
-//    (tests/models/kernel_tier_test.cc). Per-row / per-element
-//    arithmetic is still independent of micro-batch composition (the
-//    tail lanes run the SAME vector arithmetic through a masked
-//    staging buffer), so a given row scores bitwise-identically no
-//    matter how the serving engine fuses sessions — the invariant the
-//    shard/rollout bitwise storm tests rely on.
-//
-// The tier is resolved once per process: AWMOE_FORCE_SCALAR (any value
-// but "" or "0") pins the reference tier; otherwise the fast tier is
-// used when the binary carries it and CPUID reports AVX2+FMA. Tests
-// pin tiers explicitly with ScopedKernelTier.
+// AddBiasInPlace, SigmoidSpanInto) dispatch through the process-global
+// KernelDispatchTable of mat/kernel_tier.h — the same table the autograd
+// graph's products dispatch through. The module-level InferInto methods
+// materialise one buffer per op of the original Var expression instead
+// of fusing, and every kernel they call is the one the graph op calls at
+// the active tier, so ScoreInto reproduces InferenceLogits bit for bit
+// at EACH tier (tests/models/inference_path_test.cc runs both). The
+// fast tier agrees with the reference tier only to an epsilon/ULP bound
+// (tests/models/kernel_tier_test.cc); per-row arithmetic stays
+// independent of micro-batch composition at both tiers, the invariant
+// the shard/rollout bitwise storm tests rely on.
 
 /// A 64-byte-aligned float buffer that only ever grows (no content
 /// preservation across grows — it backs scratch slabs). Alignment is an
@@ -173,78 +161,6 @@ class InferenceWorkspace {
   AlignedBuffer staging_[kNumSlots];
 };
 
-// ---------------------------------------------------------------------
-// Kernel tiers (see the file comment for the exact-vs-epsilon
-// contract).
-// ---------------------------------------------------------------------
-
-enum class KernelTier {
-  kReference = 0,  // Scalar: the mat/kernels.h view kernels.
-  kFast = 1,       // AVX2/FMA cache-tiled; epsilon-bounded.
-};
-
-/// Function-pointer table of one tier's hot kernels (H2Pack-style: the
-/// variants and their metadata live in one place, callers dispatch
-/// through ActiveKernels()). Shape checks stay in the public wrappers,
-/// so implementations assume validated views.
-struct KernelDispatchTable {
-  const char* name = "";     // "reference-scalar" / "avx2-fma".
-  bool bitwise_reference = false;
-
-  /// out = a[m,k] * w[k,n] (out fully overwritten).
-  void (*matmul)(const ConstMatView& a, const Matrix& w, MatView out) =
-      nullptr;
-  /// a[m,n] += bias[1,n] broadcast over rows.
-  void (*add_bias)(MatView a, const Matrix& bias) = nullptr;
-  /// a = max(a, 0) elementwise.
-  void (*relu)(MatView a) = nullptr;
-  /// out[i] = sigmoid(x[i]) over a contiguous span (x and out may
-  /// alias exactly).
-  void (*sigmoid_span)(const float* x, float* out, int64_t n) = nullptr;
-};
-
-/// True when the fast tier is both compiled in (kernels_fast.cc built
-/// with AVX2/FMA) and runnable on this CPU (CPUID reports avx2+fma).
-bool FastKernelTierAvailable();
-
-/// The active tier. Resolved once on first kernel use:
-/// AWMOE_FORCE_SCALAR in the environment pins kReference, otherwise
-/// kFast when available.
-KernelTier ActiveKernelTier();
-
-/// Overrides the active tier process-wide. CHECK-fails when asked for
-/// kFast on a machine/build without it. Intended for tests and
-/// benches; not synchronised against in-flight forwards, so call it
-/// only while no other thread is scoring.
-void SetKernelTier(KernelTier tier);
-
-const char* KernelTierName(KernelTier tier);
-
-/// The dispatch table of `tier` (CHECK-fails for an unavailable tier)
-/// / of the active tier.
-const KernelDispatchTable& GetKernelTable(KernelTier tier);
-const KernelDispatchTable& ActiveKernels();
-
-/// Pure tier-resolution rule, exposed for unit tests: `force_scalar`
-/// is the raw AWMOE_FORCE_SCALAR value (nullptr = unset; "" and "0"
-/// mean unset).
-KernelTier ResolveKernelTier(const char* force_scalar, bool fast_available);
-
-/// RAII tier pin for tests/benches: sets `tier` for its scope and
-/// restores the previous one.
-class ScopedKernelTier {
- public:
-  explicit ScopedKernelTier(KernelTier tier) : previous_(ActiveKernelTier()) {
-    SetKernelTier(tier);
-  }
-  ~ScopedKernelTier() { SetKernelTier(previous_); }
-  ScopedKernelTier(const ScopedKernelTier&) = delete;
-  ScopedKernelTier& operator=(const ScopedKernelTier&) = delete;
-
- private:
-  KernelTier previous_;
-};
-
 /// Optional intra-batch row parallelism for MatMulInto: when `threads`
 /// > 1, matmuls with enough rows split their row range over a
 /// persistent worker pool. Because every row's arithmetic is
@@ -263,12 +179,13 @@ constexpr double MatMulFlops(int64_t m, int64_t k, int64_t n) {
 
 // ---------------------------------------------------------------------
 // Tier-dispatched kernels. The scalar view kernels (CopyInto, MulInto,
-// SoftmaxRowsInto, MatMulViewInto, ...) live in mat/kernels.h and run
-// the same code at every tier.
+// SoftmaxRowsInto, ...) live in mat/kernels.h and run the same code at
+// every tier; so do its products (MatMulViewInto, MatMulNTViewInto),
+// which dispatch through the active tier themselves.
 // ---------------------------------------------------------------------
 
-/// out = a[m,k] * w[k,n]; the reference tier is MatMulViewInto (MatMul's
-/// loop).
+/// out = a[m,k] * w[k,n] through the active tier's matmul (the entry
+/// ag::MatMul's forward uses), optionally split over rows.
 void MatMulInto(const ConstMatView& a, const Matrix& w, MatView out);
 
 /// a[m,n] += bias[1,n] broadcast over rows (AddRowBroadcast, in place).

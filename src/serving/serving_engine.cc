@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 #include <optional>
 #include <unordered_map>
@@ -101,10 +102,38 @@ RolloutArm ServingEngine::RouteArm(const std::string& resolved,
 
 namespace {
 
+// True when any embedding id the forward reads is negative. (An id at
+// or above its vocabulary is not an error: collation maps it to the
+// 0 = unknown bucket.)
+bool HasNegativeId(const Example& item) {
+  const size_t history = item.behavior_items.size();
+  for (size_t j = 0; j < history; ++j) {
+    if (item.behavior_items[j] < 0 || item.behavior_cats[j] < 0 ||
+        item.behavior_brands[j] < 0) {
+      return true;
+    }
+  }
+  return std::min({item.target_item, item.target_cat, item.target_brand,
+                   item.target_shop, item.query_id, item.query_cat,
+                   item.age_segment}) < 0;
+}
+
+// True when a dense input (numeric features, item side-info) is NaN or
+// infinite: it would reach the score silently, not abort.
+bool HasNonFiniteFeature(const Example& item) {
+  auto finite = [](float v) { return std::isfinite(v); };
+  return !std::all_of(item.numeric.begin(), item.numeric.end(), finite) ||
+         !std::all_of(item.behavior_attrs.begin(), item.behavior_attrs.end(),
+                      finite) ||
+         !std::all_of(std::begin(item.target_attrs),
+                      std::end(item.target_attrs), finite);
+}
+
 // Client-input admission, the one check behind RankBatch, Submit and
 // the pinned-snapshot backstop: bad input becomes a per-request status
-// and never reaches a forward whose CHECKs would abort the process.
-// `snapshot` is null when the model name did not resolve.
+// and never reaches a forward whose CHECKs would abort the process, nor
+// a score it would silently poison. `snapshot` is null when the model
+// name did not resolve.
 Status AdmitRequest(const RankRequest& request, const ModelSnapshot* snapshot,
                     const DatasetMeta& meta) {
   if (snapshot == nullptr) {
@@ -114,7 +143,8 @@ Status AdmitRequest(const RankRequest& request, const ModelSnapshot* snapshot,
     return Status::InvalidArgument("empty candidate list for session " +
                                    std::to_string(request.session_id));
   }
-  // Feature widths CollateBatch and Standardizer::Transform rely on.
+  // Per candidate: the feature widths CollateBatch and
+  // Standardizer::Transform rely on, then id signs and finite values.
   for (size_t i = 0; i < request.items.size(); ++i) {
     const Example& item = *request.items[i];
     const size_t history = item.behavior_items.size();
@@ -128,6 +158,10 @@ Status AdmitRequest(const RankRequest& request, const ModelSnapshot* snapshot,
     } else if (item.behavior_cats.size() < history ||
                item.behavior_brands.size() < history) {
       bad = "behavior_cats/behavior_brands shorter than behavior_items";
+    } else if (HasNegativeId(item)) {
+      bad = "negative id";
+    } else if (HasNonFiniteFeature(item)) {
+      bad = "non-finite feature value";
     }
     if (bad != nullptr) {
       return Status::InvalidArgument(
@@ -205,6 +239,7 @@ struct MissBatch {
   std::vector<float> scores;       // By logits row.
   SessionRows gate;
   SessionRows encoding;
+  int64_t unknown_ids = 0;  // Batch::unknown_ids of the forward's batch.
 };
 
 // Admit stage: the backstop against the PINNED snapshot. RankBatch and
@@ -349,6 +384,7 @@ void ForwardMisses(MissBatch* misses, const ServingEngineOptions& options,
                  entry->request->items.end());
   }
   const Batch batch = CollateBatch(items, pool.meta(), pool.standardizer());
+  misses->unknown_ids = batch.unknown_ids;
   const std::span<float> logits(misses->scores);
   double rerank_ms = 0.0;  // Slate-stage latency (slate models only).
   {
@@ -539,6 +575,7 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
   lease_sample.lane_leased = static_cast<bool>(lease);
   lease_sample.replica = lease ? lease.replica() : -1;
   lease_sample.active_lanes = lease ? lease.active_lanes_at_acquire() : 0;
+  lease_sample.unknown_ids = misses.unknown_ids;
   stats_.RecordMicroBatch(static_cast<int64_t>(misses.scores.size()), samples,
                           &lease_sample);
 }

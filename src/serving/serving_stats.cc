@@ -78,6 +78,7 @@ void AddCounters(const ServingCounters& from, ServingCounters* to) {
   to->snapshot_leases += from.snapshot_leases;
   to->active_lanes_total += from.active_lanes_total;
   to->max_active_lanes = std::max(to->max_active_lanes, from.max_active_lanes);
+  to->unknown_ids += from.unknown_ids;
   to->drift_sessions += from.drift_sessions;
   to->drift_engaged += from.drift_engaged;
   to->wall_seconds = std::max(to->wall_seconds, from.wall_seconds);
@@ -193,6 +194,7 @@ void ServingStats::RecordMicroBatch(
     }
   }
   if (lease == nullptr || !lease->lane_leased) return;
+  c.unknown_ids += lease->unknown_ids;
   ++c.snapshot_leases;
   c.active_lanes_total += lease->active_lanes;
   c.max_active_lanes =

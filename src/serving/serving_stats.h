@@ -124,6 +124,12 @@ struct ServingCounters {
   int64_t active_lanes_total = 0;
   int64_t max_active_lanes = 0;
 
+  /// Embedding ids at or above their vocabulary (an item newer than the
+  /// model, say) that the forwards' collation mapped to the 0 = unknown
+  /// bucket instead of rejecting the request. Counted per forward, so a
+  /// score-cache hit on such a request adds nothing.
+  int64_t unknown_ids = 0;
+
   /// Engine-wide accuracy-drift totals (sum over all versions' drift
   /// counters, including trimmed ones). Unlike the per-version health
   /// windows these DO merge, so a fleet sink reports how much
@@ -225,6 +231,9 @@ struct LeaseSample {
   /// and lease counters are skipped — only the per-request samples and
   /// the version health window are fed.
   bool lane_leased = true;
+  /// Ids the forward's collation mapped to the unknown bucket
+  /// (Batch::unknown_ids); counted only when lane_leased.
+  int64_t unknown_ids = 0;
 };
 
 /// One request's contribution to a micro-batch stats record.

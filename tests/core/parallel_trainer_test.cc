@@ -1,7 +1,9 @@
 // ParallelTrainer determinism contract (see core/parallel_trainer.h):
 // worker-count independence is BITWISE, single-shard steps are bitwise-
-// equal to the serial Trainer, and accumulated shard groups match a
-// serial run over the same row unions to float tolerance.
+// equal to the serial Trainer — both at each kernel tier — and
+// accumulated shard groups match a serial run over the same row unions
+// to float tolerance. Training on the fast tier ends near the reference
+// tier's model.
 
 #include "core/parallel_trainer.h"
 
@@ -14,8 +16,10 @@
 #include "core/aw_moe.h"
 #include "core/trainer.h"
 #include "data/jd_synthetic.h"
+#include "eval/metrics.h"
 #include "models/dnn_ranker.h"
 #include "models/ranker.h"
+#include "support/kernel_tiers.h"
 
 namespace awmoe {
 namespace {
@@ -109,7 +113,18 @@ class ParallelTrainerTest : public ::testing::Test {
 JdDataset* ParallelTrainerTest::data_ = nullptr;
 Standardizer* ParallelTrainerTest::standardizer_ = nullptr;
 
-TEST_F(ParallelTrainerTest, SingleShardStepsMatchSerialTrainerBitwise) {
+// The bitwise contracts, once per kernel tier: training dispatches its
+// products through the active tier, and each tier's kernels are
+// deterministic per shape.
+class ParallelTrainerTierTest
+    : public ParallelTrainerTest,
+      public ::testing::WithParamInterface<KernelTier>,
+      protected KernelTierPin {
+ protected:
+  void SetUp() override { PinKernelTier(GetParam()); }
+};
+
+TEST_P(ParallelTrainerTierTest, SingleShardStepsMatchSerialTrainerBitwise) {
   // grad_accumulation == 1, contrastive off: the parallel trainer walks
   // the serial Trainer's exact step sequence (the 1.0f shard weight is
   // an IEEE multiply identity), so two epochs end bit-for-bit equal.
@@ -136,7 +151,7 @@ TEST_F(ParallelTrainerTest, SingleShardStepsMatchSerialTrainerBitwise) {
   ExpectParamsBitwiseEqual(serial_model, parallel_model);
 }
 
-TEST_F(ParallelTrainerTest, WorkerCountDoesNotChangeParametersBitwise) {
+TEST_P(ParallelTrainerTierTest, WorkerCountDoesNotChangeParametersBitwise) {
   // The headline contract: 4 workers over 3-shard groups, contrastive
   // ON (per-shard forked augmentation streams), ends bit-for-bit equal
   // to the same schedule on 1 worker.
@@ -227,6 +242,77 @@ TEST_F(ParallelTrainerTest, TrainingLearns) {
   ASSERT_EQ(history.size(), 3u);
   EXPECT_GT(history.front().num_batches, 0);
   EXPECT_LT(history.back().mean_rank_loss, history.front().mean_rank_loss);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, ParallelTrainerTierTest,
+                         ::testing::ValuesIn(kAllKernelTiers),
+                         KernelTierParamName);
+
+bool AllParamsFinite(const Ranker& model) {
+  for (const Var& param : model.Parameters()) {
+    const Matrix& m = param.value();
+    for (int64_t k = 0; k < m.size(); ++k) {
+      if (!std::isfinite(m.data()[k])) return false;
+    }
+  }
+  return true;
+}
+
+TEST_F(ParallelTrainerTest, FastTierTrainsLikeReferenceTier) {
+  // The same seed, schedule and data on both tiers: the fast kernels
+  // only reassociate float sums, so after a few epochs of AW-MoE & CL
+  // the per-epoch losses agree to kLossEpsilon (observed gaps are a
+  // few 1e-8) and the holdout AUC to 0.01.
+  if (!FastKernelTierAvailable()) {
+    GTEST_SKIP() << "fast kernel tier unavailable on this build/CPU";
+  }
+  constexpr double kLossEpsilon = 1e-4;
+  TrainerConfig base;
+  base.batch_size = 32;
+  base.epochs = 3;
+  base.lr = 3e-3f;
+  base.seed = 61;
+  base.contrastive = true;
+  ParallelTrainerConfig config;
+  config.base = base;
+  config.num_workers = 2;
+  config.grad_accumulation = 2;
+
+  struct TierRun {
+    std::vector<EpochStats> history;
+    double auc = 0.0;
+    bool finite = false;
+  };
+  auto train_at = [&](KernelTier tier) {
+    ScopedKernelTier pin(tier);
+    Rng rng(17);
+    AwMoeRanker model(data_->meta, TinyAwMoeConfig(), &rng);
+    ParallelTrainer trainer(&model, config);
+    TierRun run;
+    run.history = trainer.Train(data_->train, data_->meta, standardizer_);
+    run.finite = AllParamsFinite(model);
+    run.auc = EvaluateRanking(data_->full_test,
+                              Predict(&model, data_->full_test, data_->meta,
+                                      standardizer_))
+                  .auc;
+    return run;
+  };
+  const TierRun reference = train_at(KernelTier::kReference);
+  const TierRun fast = train_at(KernelTier::kFast);
+
+  EXPECT_TRUE(reference.finite);
+  EXPECT_TRUE(fast.finite);
+  ASSERT_EQ(reference.history.size(), fast.history.size());
+  for (size_t e = 0; e < fast.history.size(); ++e) {
+    EXPECT_NEAR(fast.history[e].mean_rank_loss,
+                reference.history[e].mean_rank_loss, kLossEpsilon)
+        << "epoch " << e;
+    EXPECT_NEAR(fast.history[e].mean_cl_loss,
+                reference.history[e].mean_cl_loss, kLossEpsilon)
+        << "epoch " << e;
+  }
+  EXPECT_NEAR(fast.auc, reference.auc, 0.01);
+  EXPECT_GT(reference.auc, 0.5);
 }
 
 }  // namespace

@@ -4,12 +4,16 @@
 // every gate configuration, and both paths must keep per-row results
 // independent of micro-batch composition (shuffled session fusion,
 // varying padding) — the invariant that lets the serving engine fuse
-// sessions freely.
+// sessions freely. Every case runs once per kernel tier: the graph and
+// the workspace path multiply through the same table entries, so the
+// bitwise contract holds at each tier (the fast tier's epsilon-bounded
+// agreement with the reference tier is kernel_tier_test.cc's).
 
 #include <algorithm>
 #include <memory>
 #include <numeric>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,19 +24,11 @@
 #include "models/category_moe.h"
 #include "models/dnn_ranker.h"
 #include "nn/inference.h"
+#include "support/kernel_tiers.h"
 #include "util/rng.h"
 
 namespace awmoe {
 namespace {
-
-// This whole suite compares ScoreInto against the autograd-backed
-// InferenceLogits BITWISE, so it must run on the reference kernel tier
-// regardless of what the host CPU offers. The fast tier's
-// epsilon-bounded agreement is covered by kernel_tier_test.cc.
-const bool kPinnedReferenceTier = [] {
-  SetKernelTier(KernelTier::kReference);
-  return true;
-}();
 
 DatasetMeta TestMeta(bool recommendation) {
   DatasetMeta meta;
@@ -170,13 +166,29 @@ std::vector<float> ScoreIntoVector(Ranker* model, const Batch& batch,
   return out;
 }
 
-class InferencePathTest : public ::testing::TestWithParam<bool> {};
+// Parameterised by (kernel tier, recommendation-mode dataset).
+class InferencePathTest
+    : public ::testing::TestWithParam<std::tuple<KernelTier, bool>>,
+      protected KernelTierPin {
+ protected:
+  void SetUp() override { PinKernelTier(std::get<0>(GetParam())); }
+  bool recommendation() const { return std::get<1>(GetParam()); }
+};
+
+// The gate and session-encoding cases, once per kernel tier.
+class InferencePathTierTest : public ::testing::TestWithParam<KernelTier>,
+                              protected KernelTierPin {
+ protected:
+  void SetUp() override { PinKernelTier(GetParam()); }
+};
+using InferencePathGateTest = InferencePathTierTest;
+using InferencePathSessionEncodingTest = InferencePathTierTest;
 
 // The acceptance gate: ScoreInto == InferenceLogits, bit for bit, for
 // every ranker in both dataset modes, across batch sizes sharing one
 // workspace (buffers must not carry state between batches).
 TEST_P(InferencePathTest, ScoreIntoMatchesInferenceLogitsBitwise) {
-  const DatasetMeta meta = TestMeta(GetParam());
+  const DatasetMeta meta = TestMeta(recommendation());
   auto sessions = MakeSessions(/*seed=*/500);
   auto flat = Flatten(sessions);
   for (NamedRanker& ranker : MakeRankers(meta)) {
@@ -209,7 +221,7 @@ TEST_P(InferencePathTest, ScoreIntoMatchesInferenceLogitsBitwise) {
 // bitwise-invariant to which other sessions share the batch and in what
 // order — for BOTH inference paths.
 TEST_P(InferencePathTest, RowsIndependentOfBatchCompositionBothPaths) {
-  const DatasetMeta meta = TestMeta(GetParam());
+  const DatasetMeta meta = TestMeta(recommendation());
   auto sessions = MakeSessions(/*seed=*/900);
   for (NamedRanker& ranker : MakeRankers(meta)) {
     auto workspace = ranker.model->CreateInferenceWorkspace(64);
@@ -262,7 +274,7 @@ TEST_P(InferencePathTest, RowsIndependentOfBatchCompositionBothPaths) {
 // The §III-F gate argument: ScoreInto with an externally supplied gate
 // must reproduce the legacy InferenceLogitsWithGate bitwise — full
 // per-row gates and the broadcast single-row form.
-TEST(InferencePathGateTest, SessionGateMatchesLegacyWithGateBitwise) {
+TEST_P(InferencePathGateTest, SessionGateMatchesLegacyWithGateBitwise) {
   const DatasetMeta meta = TestMeta(false);
   Rng rng(21);
   AwMoeConfig config;
@@ -312,7 +324,7 @@ TEST(InferencePathGateTest, SessionGateMatchesLegacyWithGateBitwise) {
 // Category-MoE's gate is session-constant in search mode too; its
 // ScoreInto gate path must match scoring without one bitwise (same
 // gate rows replicated).
-TEST(InferencePathGateTest, CategoryMoeGateReuseMatchesDirectBitwise) {
+TEST_P(InferencePathGateTest, CategoryMoeGateReuseMatchesDirectBitwise) {
   const DatasetMeta meta = TestMeta(false);
   Rng rng(31);
   CategoryMoeRanker model(meta, TinyDims(), &rng);
@@ -352,7 +364,7 @@ TEST(InferencePathGateTest, CategoryMoeGateReuseMatchesDirectBitwise) {
 
 // Every gate-network ablation/extension config must ride the kernel
 // path bitwise (softmax normalisation, sparse top-k, pooled modes).
-TEST(InferencePathGateTest, GateConfigVariantsMatchBitwise) {
+TEST_P(InferencePathGateTest, GateConfigVariantsMatchBitwise) {
   const DatasetMeta meta = TestMeta(false);
   auto sessions = MakeSessions(/*seed=*/1300);
   auto flat = Flatten(sessions);
@@ -417,7 +429,7 @@ TEST(InferencePathGateTest, GateConfigVariantsMatchBitwise) {
 // (AW-MoE, DIN, DNN) in both dataset modes, across interleaved batch
 // sizes sharing one workspace.
 TEST_P(InferencePathTest, SplitEncodeScoreMatchesFusedBitwise) {
-  const DatasetMeta meta = TestMeta(GetParam());
+  const DatasetMeta meta = TestMeta(recommendation());
   auto sessions = MakeSessions(/*seed=*/2100);
   auto flat = Flatten(sessions);
   int covered = 0;
@@ -467,7 +479,7 @@ TEST_P(InferencePathTest, SplitEncodeScoreMatchesFusedBitwise) {
 // every candidate of the session — exactly how a level-2 cache hit
 // feeds the candidate-dependent tail. Must still be bitwise-fused.
 TEST_P(InferencePathTest, ProbeRowBroadcastEncodingMatchesFusedBitwise) {
-  const DatasetMeta meta = TestMeta(GetParam());
+  const DatasetMeta meta = TestMeta(recommendation());
   auto sessions = MakeSessions(/*seed=*/2400);
   for (NamedRanker& ranker : MakeRankers(meta)) {
     const int64_t width = ranker.model->SessionEncodingWidth();
@@ -515,7 +527,7 @@ TEST_P(InferencePathTest, ProbeRowBroadcastEncodingMatchesFusedBitwise) {
 
 // Gate reuse and encoding reuse composed — the serving engine passes
 // both when a request hits the gate cache AND the feature store.
-TEST(InferencePathSessionEncodingTest, GatePlusEncodingMatchesFusedBitwise) {
+TEST_P(InferencePathSessionEncodingTest, GatePlusEncodingMatchesFusedBitwise) {
   const DatasetMeta meta = TestMeta(false);
   Rng rng(61);
   AwMoeConfig config;
@@ -553,7 +565,7 @@ TEST(InferencePathSessionEncodingTest, GatePlusEncodingMatchesFusedBitwise) {
 
 // A null encoding must degrade ScoreWithSessionInto to the fused path
 // verbatim (the engine relies on this when the feature store is off).
-TEST(InferencePathSessionEncodingTest, NullEncodingFallsBackToFused) {
+TEST_P(InferencePathSessionEncodingTest, NullEncodingFallsBackToFused) {
   const DatasetMeta meta = TestMeta(false);
   auto sessions = MakeSessions(/*seed=*/2700);
   auto flat = Flatten(sessions);
@@ -575,7 +587,20 @@ TEST(InferencePathSessionEncodingTest, NullEncodingFallsBackToFused) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, InferencePathTest, ::testing::Bool());
+INSTANTIATE_TEST_SUITE_P(
+    TiersAndModes, InferencePathTest,
+    ::testing::Combine(::testing::ValuesIn(kAllKernelTiers),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<KernelTier, bool>>& info) {
+      return KernelTierLabel(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_recommendation" : "_search");
+    });
+INSTANTIATE_TEST_SUITE_P(Tiers, InferencePathGateTest,
+                         ::testing::ValuesIn(kAllKernelTiers),
+                         KernelTierParamName);
+INSTANTIATE_TEST_SUITE_P(Tiers, InferencePathSessionEncodingTest,
+                         ::testing::ValuesIn(kAllKernelTiers),
+                         KernelTierParamName);
 
 }  // namespace
 }  // namespace awmoe

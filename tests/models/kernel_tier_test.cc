@@ -1,6 +1,7 @@
 // Kernel-tier regression suite: the fast (AVX2/FMA) tier must agree
 // with the reference tier to an epsilon/ULP bound for every ranker,
-// both gate modes and a sweep of batch sizes; the forced-scalar
+// both gate modes and a sweep of batch sizes, and per product (matmul,
+// matmul_nt, matmul_tn) at tail shapes; the forced-scalar
 // dispatch path must stay bitwise-identical to the reference kernels;
 // and the fast tier must keep per-row results independent of
 // micro-batch composition (the invariant the serving engine's session
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -382,6 +384,278 @@ TEST(KernelDispatchTest, SigmoidSpanTierContracts) {
   std::vector<float> in_place = x;
   SigmoidSpanInto(in_place, in_place);
   EXPECT_EQ(in_place, fast);
+}
+
+// ---------------------------------------------------------------------
+// The table's three products — matmul (a*b), matmul_nt (a*b^T) and
+// matmul_tn (a^T*b), the graph's forward and its two gradients — at
+// tail shapes around the fast tier's 4-row / 16-column / 8-lane
+// blocking.
+// ---------------------------------------------------------------------
+
+enum class Product { kNN, kNT, kTN };
+
+const char* ProductName(Product product) {
+  switch (product) {
+    case Product::kNN:
+      return "matmul";
+    case Product::kNT:
+      return "matmul_nt";
+    case Product::kTN:
+      return "matmul_tn";
+  }
+  return "?";
+}
+
+constexpr int64_t kTailDims[] = {1, 3, 4, 5, 17, 64};
+constexpr int64_t kStridePad = 3;
+constexpr float kSentinel = 12345.0f;
+
+/// A rows x cols matrix in a buffer whose row stride is cols + 3, so a
+/// kernel that ignores the stride — or writes past a row's last column
+/// — shows up. The padding holds kSentinel.
+class Strided {
+ public:
+  Strided(int64_t rows, int64_t cols)
+      : rows_(rows),
+        cols_(cols),
+        storage_(static_cast<size_t>(rows * (cols + kStridePad)), kSentinel) {}
+
+  static Strided Random(int64_t rows, int64_t cols, Rng* rng) {
+    Strided s(rows, cols);
+    for (int64_t i = 0; i < rows; ++i) {
+      for (int64_t j = 0; j < cols; ++j) {
+        s.at(i, j) = static_cast<float>(rng->Normal());
+      }
+    }
+    return s;
+  }
+
+  float& at(int64_t i, int64_t j) {
+    return storage_[static_cast<size_t>(i * stride() + j)];
+  }
+  float at(int64_t i, int64_t j) const {
+    return storage_[static_cast<size_t>(i * stride() + j)];
+  }
+  int64_t stride() const { return cols_ + kStridePad; }
+  ConstMatView view() const {
+    return ConstMatView(storage_.data(), rows_, cols_, stride());
+  }
+  MatView mutable_view() {
+    return MatView{storage_.data(), rows_, cols_, stride()};
+  }
+  /// True when every padding slot still holds kSentinel.
+  bool PaddingIntact() const {
+    for (int64_t i = 0; i < rows_; ++i) {
+      for (int64_t j = cols_; j < stride(); ++j) {
+        if (at(i, j) != kSentinel) return false;
+      }
+    }
+    return true;
+  }
+  const std::vector<float>& storage() const { return storage_; }
+
+ private:
+  int64_t rows_;
+  int64_t cols_;
+  std::vector<float> storage_;
+};
+
+/// Random operands of `product` for an [m,n] result with inner size k.
+struct ProductCase {
+  ProductCase(Product p, int64_t m, int64_t k, int64_t n, uint64_t seed)
+      : product(p),
+        m(m),
+        k(k),
+        n(n),
+        rng(seed),
+        a(p == Product::kTN ? Strided::Random(k, m, &rng)
+                            : Strided::Random(m, k, &rng)),
+        b(p == Product::kNT ? Strided::Random(n, k, &rng)
+                            : Strided::Random(k, n, &rng)) {}
+
+  float A(int64_t i, int64_t p) const {
+    return product == Product::kTN ? a.at(p, i) : a.at(i, p);
+  }
+  float B(int64_t p, int64_t j) const {
+    return product == Product::kNT ? b.at(j, p) : b.at(p, j);
+  }
+
+  Product product;
+  int64_t m, k, n;
+  Rng rng;
+  Strided a;
+  Strided b;
+};
+
+void RunProduct(const KernelDispatchTable& table, Product product,
+                const ConstMatView& a, const ConstMatView& b, MatView out) {
+  switch (product) {
+    case Product::kNN:
+      table.matmul(a, b, out);
+      return;
+    case Product::kNT:
+      table.matmul_nt(a, b, out);
+      return;
+    case Product::kTN:
+      table.matmul_tn(a, b, out);
+      return;
+  }
+}
+
+Strided RunProduct(const KernelDispatchTable& table, const ProductCase& c) {
+  Strided out(c.m, c.n);
+  // Garbage in every output slot: the product must overwrite it all.
+  for (int64_t i = 0; i < c.m; ++i) {
+    for (int64_t j = 0; j < c.n; ++j) out.at(i, j) = -777.0f;
+  }
+  RunProduct(table, c.product, c.a.view(), c.b.view(), out.mutable_view());
+  return out;
+}
+
+// The reference products are the textbook sums, and the fast ones agree
+// with them within the standard floating-point bound for two differently
+// ordered length-k sums: |fast - reference| <= (k + 1) * FLT_EPSILON *
+// sum_p |a_ip * b_pj|. Both leave the stride padding untouched.
+TEST(KernelProductTest, FastProductsMatchReferenceAtTailShapes) {
+  if (!FastKernelTierAvailable()) {
+    GTEST_SKIP() << "fast kernel tier unavailable on this build/CPU";
+  }
+  const KernelDispatchTable& reference =
+      GetKernelTable(KernelTier::kReference);
+  const KernelDispatchTable& fast = GetKernelTable(KernelTier::kFast);
+  uint64_t seed = 1;
+  for (const Product product : {Product::kNN, Product::kNT, Product::kTN}) {
+    for (const int64_t m : kTailDims) {
+      for (const int64_t k : kTailDims) {
+        for (const int64_t n : kTailDims) {
+          const ProductCase c(product, m, k, n, seed++);
+          const Strided want = RunProduct(reference, c);
+          const Strided got = RunProduct(fast, c);
+          ASSERT_TRUE(want.PaddingIntact()) << ProductName(product);
+          ASSERT_TRUE(got.PaddingIntact())
+              << ProductName(product) << " " << m << "x" << k << "x" << n;
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t j = 0; j < n; ++j) {
+              double exact = 0.0, magnitude = 0.0;
+              for (int64_t p = 0; p < k; ++p) {
+                const double term =
+                    static_cast<double>(c.A(i, p)) * c.B(p, j);
+                exact += term;
+                magnitude += std::abs(term);
+              }
+              const double bound =
+                  static_cast<double>(k + 1) * FLT_EPSILON * magnitude;
+              ASSERT_LE(std::abs(static_cast<double>(want.at(i, j)) - exact),
+                        bound)
+                  << "reference " << ProductName(product);
+              ASSERT_LE(std::abs(static_cast<double>(got.at(i, j)) -
+                                 want.at(i, j)),
+                        bound)
+                  << ProductName(product) << " " << m << "x" << k << "x" << n
+                  << " at (" << i << "," << j << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Determinism per shape: the same operands give the same bits on every
+// call, at both tiers.
+TEST(KernelProductTest, RepeatCallsAreBitwiseIdentical) {
+  std::vector<KernelTier> tiers = {KernelTier::kReference};
+  if (FastKernelTierAvailable()) tiers.push_back(KernelTier::kFast);
+  for (const KernelTier tier : tiers) {
+    const KernelDispatchTable& table = GetKernelTable(tier);
+    for (const Product product : {Product::kNN, Product::kNT, Product::kTN}) {
+      for (const int64_t dim : kTailDims) {
+        const ProductCase c(product, dim + 2, dim, 2 * dim + 1,
+                            /*seed=*/static_cast<uint64_t>(dim) + 70);
+        const Strided first = RunProduct(table, c);
+        const Strided second = RunProduct(table, c);
+        ASSERT_EQ(first.storage(), second.storage())
+            << KernelTierName(tier) << " " << ProductName(product) << " dim "
+            << dim;
+      }
+    }
+  }
+}
+
+// matmul and matmul_nt keep each output row a function of its own input
+// row: any row range of a, multiplied alone, reproduces those rows of
+// the full product bitwise — whatever the range's length and offset do
+// to the fast tier's 4-row / 2-row blocking. This is what lets the
+// serving engine fuse sessions into one micro-batch.
+TEST(KernelProductTest, MatMulAndMatMulNtRowsIndependentOfBatch) {
+  std::vector<KernelTier> tiers = {KernelTier::kReference};
+  if (FastKernelTierAvailable()) tiers.push_back(KernelTier::kFast);
+  for (const KernelTier tier : tiers) {
+    const KernelDispatchTable& table = GetKernelTable(tier);
+    for (const Product product : {Product::kNN, Product::kNT}) {
+      for (const int64_t k : kTailDims) {
+        for (const int64_t n : kTailDims) {
+          const int64_t m = 17;
+          const ProductCase c(product, m, k, n,
+                              /*seed=*/static_cast<uint64_t>(k * 100 + n));
+          const Strided full = RunProduct(table, c);
+          const std::pair<int64_t, int64_t> ranges[] = {
+              {0, 1}, {16, 17}, {1, 4}, {3, 8}, {5, 17}, {2, 3}};
+          for (const auto& [begin, end] : ranges) {
+            const ConstMatView a = c.a.view();
+            const ConstMatView rows(a.row(begin), end - begin, k, a.stride);
+            Strided part(end - begin, n);
+            RunProduct(table, product, rows, c.b.view(), part.mutable_view());
+            for (int64_t i = begin; i < end; ++i) {
+              for (int64_t j = 0; j < n; ++j) {
+                ASSERT_EQ(part.at(i - begin, j), full.at(i, j))
+                    << KernelTierName(tier) << " " << ProductName(product)
+                    << " k=" << k << " n=" << n << " rows [" << begin << ","
+                    << end << ") row " << i << " col " << j;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+std::vector<float> Values(const Matrix& m) {
+  return std::vector<float>(m.data(), m.data() + m.size());
+}
+
+// The Matrix-level wrappers (MatMul, MatMulTransA, MatMulTransB — what
+// the autograd graph calls) dispatch through the active tier: each
+// equals its table entry bit for bit at either tier.
+TEST(KernelProductTest, MatrixWrappersDispatchThroughActiveTier) {
+  std::vector<KernelTier> tiers = {KernelTier::kReference};
+  if (FastKernelTierAvailable()) tiers.push_back(KernelTier::kFast);
+  Rng rng(404);
+  auto random = [&rng](int64_t rows, int64_t cols) {
+    Matrix m(rows, cols);
+    for (int64_t i = 0; i < m.size(); ++i) {
+      m.data()[i] = static_cast<float>(rng.Normal());
+    }
+    return m;
+  };
+  const Matrix a = random(9, 21), b = random(21, 13), c = random(9, 13);
+  const Matrix bt = random(13, 21);
+  for (const KernelTier tier : tiers) {
+    ScopedKernelTier pin(tier);
+    const KernelDispatchTable& table = GetKernelTable(tier);
+    Matrix want(9, 13);
+    table.matmul(MatrixView(a), MatrixView(b), MutableView(&want));
+    EXPECT_EQ(Values(MatMul(a, b)), Values(want)) << KernelTierName(tier);
+    table.matmul_nt(MatrixView(a), MatrixView(bt), MutableView(&want));
+    EXPECT_EQ(Values(MatMulTransB(a, bt)), Values(want))
+        << KernelTierName(tier);
+    Matrix want_tn(21, 13);
+    table.matmul_tn(MatrixView(a), MatrixView(c), MutableView(&want_tn));
+    EXPECT_EQ(Values(MatMulTransA(a, c)), Values(want_tn))
+        << KernelTierName(tier);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,9 @@
 // The listwise reranker's acceptance suite: the workspace slate path
 // (ScoreSlateInto) must reproduce the autograd-backed graph path
-// (InferenceLogits) BIT FOR BIT on the reference kernel tier, a slate's
-// scores must not depend on what else shares its micro-batch, Clone
-// must produce an identical model, and the ListNet loss must train
-// through both Trainer and ParallelTrainer with session-grouped
-// batches.
+// (InferenceLogits) BIT FOR BIT at each kernel tier, a slate's scores
+// must not depend on what else shares its micro-batch, Clone must
+// produce an identical model, and the ListNet loss must train through
+// both Trainer and ParallelTrainer with session-grouped batches.
 
 #include <cmath>
 #include <memory>
@@ -18,19 +17,20 @@
 #include "data/batcher.h"
 #include "models/listwise/listwise_reranker.h"
 #include "nn/inference.h"
+#include "support/kernel_tiers.h"
 #include "util/rng.h"
 
 namespace awmoe {
 namespace {
 
-// Bitwise graph-vs-workspace comparison needs the reference tier; the
-// fast tier's slate scores are covered by the composition-independence
-// test below, which holds at every tier (the attention core is always
-// the scalar slate-local kernels).
-const bool kPinnedReferenceTier = [] {
-  SetKernelTier(KernelTier::kReference);
-  return true;
-}();
+// The bitwise cases run once per kernel tier: the graph and the slate
+// path multiply through the same table entries, so they agree bit for
+// bit at each tier.
+class ListwiseTierTest : public ::testing::TestWithParam<KernelTier>,
+                         protected KernelTierPin {
+ protected:
+  void SetUp() override { PinKernelTier(GetParam()); }
+};
 
 DatasetMeta TestMeta() {
   DatasetMeta meta;
@@ -160,7 +160,7 @@ TEST(ListwiseRerankerTest, SlateStartsFromBatchFindsSessionRuns) {
 // The acceptance gate: ScoreSlateInto == InferenceLogits, bit for bit,
 // across multi-slate and single-slate batches sharing one workspace
 // (stale buffer contents from a bigger batch would show up).
-TEST(ListwiseRerankerTest, ScoreSlateIntoMatchesInferenceLogitsBitwise) {
+TEST_P(ListwiseTierTest, ScoreSlateIntoMatchesInferenceLogitsBitwise) {
   const DatasetMeta meta = TestMeta();
   auto sessions = MakeSessions(/*seed=*/910);
   auto model = MakeModel(31);
@@ -191,7 +191,7 @@ TEST(ListwiseRerankerTest, ScoreSlateIntoMatchesInferenceLogitsBitwise) {
 // session by itself and fused behind four other sessions must agree
 // bitwise. This is what lets the serving engine pack whole requests
 // into one micro-batch freely.
-TEST(ListwiseRerankerTest, SlateScoresIndependentOfBatchComposition) {
+TEST_P(ListwiseTierTest, SlateScoresIndependentOfBatchComposition) {
   const DatasetMeta meta = TestMeta();
   auto sessions = MakeSessions(/*seed=*/920);
   auto model = MakeModel(32);
@@ -227,7 +227,7 @@ TEST(ListwiseRerankerTest, RejectsSlateLongerThanMaxSlateLen) {
   EXPECT_DEATH((void)model->InferenceLogits(batch), "max_slate_len");
 }
 
-TEST(ListwiseRerankerTest, CloneProducesIdenticalScores) {
+TEST_P(ListwiseTierTest, CloneProducesIdenticalScores) {
   const DatasetMeta meta = TestMeta();
   auto sessions = MakeSessions(/*seed=*/940);
   auto model = MakeModel(34);
@@ -296,7 +296,7 @@ TEST(ListwiseRerankerTest, TrainerSplitsOversizedSessionsInsteadOfAborting) {
 // oversized session, or non-contiguous duplicate ids a shuffle made
 // adjacent) must NOT merge: explicit Batch::slate_starts are
 // authoritative over session-id run derivation in both forward paths.
-TEST(ListwiseRerankerTest, ExplicitSlateStartsKeepSameIdSlatesDistinct) {
+TEST_P(ListwiseTierTest, ExplicitSlateStartsKeepSameIdSlatesDistinct) {
   const DatasetMeta meta = TestMeta();
   auto model = MakeModel(38);
   auto a = MakeSession(/*seed=*/980, /*session_id=*/500, /*items=*/4,
@@ -346,7 +346,7 @@ TEST(ListwiseRerankerTest, ExplicitSlateStartsKeepSameIdSlatesDistinct) {
 // ParallelTrainer's determinism contract extends to listwise models:
 // with identical configs, 1-worker and 3-worker runs must end at
 // BITWISE the same parameters.
-TEST(ListwiseRerankerTest, ParallelTrainerWorkerCountInvariant) {
+TEST_P(ListwiseTierTest, ParallelTrainerWorkerCountInvariant) {
   std::vector<Example> train = TrainingSplit(/*seed=*/960, 18);
   ParallelTrainerConfig config;
   config.base.batch_size = 8;  // Two 4-item slates per shard.
@@ -379,6 +379,10 @@ TEST(ListwiseRerankerTest, ParallelTrainerWorkerCountInvariant) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Tiers, ListwiseTierTest,
+                         ::testing::ValuesIn(kAllKernelTiers),
+                         KernelTierParamName);
 
 }  // namespace
 }  // namespace awmoe

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -1464,6 +1465,148 @@ TEST_F(ServingTest, MalformedFeatureWidthsRejectedPerRequest) {
   ASSERT_EQ(snap.version_health.size(), 1u);
   EXPECT_EQ(snap.version_health[0].requests, served);
   EXPECT_EQ(snap.version_health[0].errors, 0);
+}
+
+// The first full-test candidate with a behaviour history.
+const Example* CandidateWithHistory(const std::vector<Example>& split) {
+  for (const Example& ex : split) {
+    if (!ex.behavior_items.empty()) return &ex;
+  }
+  return nullptr;
+}
+
+// Each `bad` candidate, sent second in a two-candidate request between
+// two good requests, is rejected with kInvalidArgument on both fronts;
+// the good requests keep their bitwise scores and are the only health
+// samples.
+void ExpectEachRejectedPerRequest(ModelPool* pool,
+                                  const std::vector<RankRequest>& good,
+                                  const std::vector<Example>& bad) {
+  const std::vector<std::vector<double>> expected = SoloScores(pool, good);
+  ServingEngine engine(pool);
+  for (size_t b = 0; b < bad.size(); ++b) {
+    RankRequest malformed = good[0];
+    malformed.session_id = 9100 + static_cast<int64_t>(b);
+    malformed.items = {good[0].items[0], &bad[b]};
+    const std::vector<RankResponse> responses =
+        engine.RankBatch({good[0], malformed, good[1]});
+    ASSERT_EQ(responses.size(), 3u);
+    const RankResponse& rejected = responses[1];
+    EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument)
+        << "case " << b << ": " << rejected.status;
+    EXPECT_TRUE(rejected.scores.empty());
+    EXPECT_EQ(rejected.replica, -1);
+    for (size_t g = 0; g < good.size(); ++g) {
+      const RankResponse& response = responses[2 * g];
+      ASSERT_TRUE(response.status.ok()) << response.status;
+      EXPECT_EQ(response.scores, expected[g]) << "case " << b;
+    }
+    EXPECT_EQ(engine.Submit(malformed).get().status, rejected.status);
+  }
+  const ServingStatsSnapshot snap = engine.Stats();
+  const int64_t served = 2 * static_cast<int64_t>(bad.size());
+  EXPECT_EQ(snap.requests, served);
+  ASSERT_EQ(snap.version_health.size(), 1u);
+  EXPECT_EQ(snap.version_health[0].requests, served);
+  EXPECT_EQ(snap.version_health[0].errors, 0);
+}
+
+TEST_F(ServingTest, NegativeIdsRejectedPerRequest) {
+  std::vector<RankRequest> good =
+      MakeSessionRequests(GroupBySession(data_->full_test));
+  good.resize(2);
+  const Example* base = CandidateWithHistory(data_->full_test);
+  ASSERT_NE(base, nullptr);
+  // One negative id per copy; each would index before its embedding
+  // table (a behaviour id used to abort the process in the gather).
+  std::vector<Example> bad(5, *base);
+  bad[0].behavior_items[0] = -3;
+  bad[1].behavior_cats[0] = -1;
+  bad[2].target_item = -1;
+  bad[3].query_id = -7;
+  bad[4].age_segment = -1;
+  auto pool = MakeRegistry();
+  ExpectEachRejectedPerRequest(pool.get(), good, bad);
+}
+
+TEST_F(ServingTest, NonFiniteFeaturesRejectedPerRequest) {
+  std::vector<RankRequest> good =
+      MakeSessionRequests(GroupBySession(data_->full_test));
+  good.resize(2);
+  const Example* base = CandidateWithHistory(data_->full_test);
+  ASSERT_NE(base, nullptr);
+  ASSERT_FALSE(base->behavior_attrs.empty());
+  // Each would be scored silently: a NaN or inf flows through the
+  // forward into the candidate's score.
+  std::vector<Example> bad(4, *base);
+  std::fill(bad[0].numeric.begin(), bad[0].numeric.end(),
+            std::numeric_limits<float>::quiet_NaN());
+  bad[1].numeric[kFeatPrice] = std::numeric_limits<float>::infinity();
+  bad[2].behavior_attrs[0] = std::numeric_limits<float>::quiet_NaN();
+  bad[3].target_attrs[1] = -std::numeric_limits<float>::infinity();
+  auto pool = MakeRegistry();
+  ExpectEachRejectedPerRequest(pool.get(), good, bad);
+}
+
+// An id at or above its vocabulary (an item the model has never seen)
+// is not a client error: it scores as the 0 = unknown id, bitwise, and
+// the stats count each such id once per forward.
+TEST_F(ServingTest, OutOfVocabularyIdsScoreAsUnknownAndAreCounted) {
+  std::vector<RankRequest> requests =
+      MakeSessionRequests(GroupBySession(data_->full_test));
+  RankRequest base;
+  for (const RankRequest& request : requests) {
+    if (request.items.size() >= 2 &&
+        !request.items[0]->behavior_items.empty()) {
+      base = request;
+      break;
+    }
+  }
+  ASSERT_GE(base.items.size(), 2u);
+  const DatasetMeta& meta = data_->meta;
+  std::vector<Example> unknown, zeroed;
+  for (const Example* item : base.items) {
+    unknown.push_back(*item);
+    zeroed.push_back(*item);
+  }
+  unknown[0].target_item = int64_t{1} << 30;  // Used to abort in the gather.
+  zeroed[0].target_item = 0;
+  unknown[1].target_brand = meta.num_brands;  // First id past the table.
+  zeroed[1].target_brand = 0;
+  for (Example* ex : {&unknown[0], &unknown[1]}) {
+    ex->behavior_items[0] = meta.num_items + 5;
+  }
+  for (Example* ex : {&zeroed[0], &zeroed[1]}) ex->behavior_items[0] = 0;
+  auto request_of = [&base](const std::vector<Example>& items) {
+    RankRequest request = base;
+    request.items.clear();
+    for (const Example& ex : items) request.items.push_back(&ex);
+    return request;
+  };
+
+  auto pool = MakeRegistry();
+  ServingEngine want_engine(pool.get());
+  const RankResponse want = want_engine.Rank(request_of(zeroed));
+  ASSERT_TRUE(want.status.ok()) << want.status;
+  EXPECT_EQ(want_engine.Stats().unknown_ids, 0);
+
+  auto registry = MakeRegistry();
+  ServingEngine engine(registry.get());
+  const RankRequest request = request_of(unknown);
+  const RankResponse got = engine.Rank(request);
+  ASSERT_TRUE(got.status.ok()) << got.status;
+  EXPECT_EQ(got.scores, want.scores);
+  const RankResponse async = engine.Submit(request).get();
+  ASSERT_TRUE(async.status.ok()) << async.status;
+  EXPECT_EQ(async.scores, want.scores);
+
+  // Two candidates' target ids plus candidate 0's and 1's first
+  // behaviour id. The async repeat is a score-cache hit: no forward, no
+  // collation, nothing more counted.
+  const ServingStatsSnapshot snap = engine.Stats();
+  EXPECT_EQ(snap.requests, 2);
+  EXPECT_EQ(snap.score_cache_hits, 1);
+  EXPECT_EQ(snap.unknown_ids, 4);
 }
 
 // ---------------------------------------------------------------------

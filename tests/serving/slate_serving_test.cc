@@ -31,7 +31,7 @@ namespace awmoe {
 namespace {
 
 // Solo-vs-batched comparisons are bitwise at every tier (the slate
-// attention core is always the scalar slate-local kernels), but the
+// attention core's products see only the slate's own rows), but the
 // suite pins the reference tier so failures reproduce identically on
 // every host.
 const bool kPinnedReferenceTier = [] {
